@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success or affirmative answer, 2 verification failure or
-oracle mismatch, 3 negative answer to a yes/no query, 64 usage errors,
-65 structure-notation errors, 70 guard limits exceeded.  The pair-check
-guard of ``verify`` defaults to 10^7 and can be overridden with the
-``KCF_MAX_PAIRS`` environment variable.
+Exit codes: 0 success or affirmative answer, 2 verification failure,
+oracle mismatch or violated internal invariant, 3 negative answer to a
+yes/no query, 64 usage errors, 65 structure-notation errors, 70 guard
+limits exceeded.  The pair-check guard of ``verify`` defaults to 10^7
+and can be overridden with the ``KCF_MAX_PAIRS`` environment variable.
 """
 
 import argparse
@@ -17,6 +17,7 @@ from .closure import build_closure_graph, majorization_report
 from .core import codimension, orbit_dimension
 from .errors import (
     EnumerationLimitExceededError,
+    InvariantViolationError,
     KcfError,
     NotationError,
     SearchBudgetExceededError,
@@ -55,7 +56,15 @@ def _print_json(payload):
 
 def _max_pairs():
     raw = os.environ.get("KCF_MAX_PAIRS")
-    return int(raw) if raw else DEFAULT_MAX_PAIRS
+    if not raw:
+        return DEFAULT_MAX_PAIRS
+    try:
+        value = int(raw)
+        if value < 0:
+            raise ValueError(raw)
+    except ValueError:
+        raise _UsageError(f"KCF_MAX_PAIRS must be a non-negative integer, got {raw!r}") from None
+    return value
 
 
 def cmd_codim(args):
@@ -310,6 +319,9 @@ def main(argv=None) -> int:
     except (EnumerationLimitExceededError, SearchBudgetExceededError) as exc:
         print(f"guard limit: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except InvariantViolationError as exc:
+        print(f"invariant violated: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
     except KcfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -19,7 +19,7 @@ from .core import (
     weyr_jordan,
     weyr_singular,
 )
-from .errors import DuplicateNodeError, SizeMismatchError
+from .errors import DuplicateNodeError, InvariantViolationError, SizeMismatchError
 
 __all__ = [
     "weakly_majorizes",
@@ -202,7 +202,8 @@ def build_closure_graph(nodes) -> ClosureGraph:
 
     All nodes must share one pencil size and be pairwise distinct as
     orbits.  The full relation is computed with ``degenerates_to`` and
-    then transitively reduced.
+    then transitively reduced with bitsets; every covering edge must
+    raise the codimension.
     """
     nodes = tuple(nodes)
     if len(nodes) > 1:
@@ -217,18 +218,24 @@ def build_closure_graph(nodes) -> ClosureGraph:
             if same_orbit(node, other):
                 raise DuplicateNodeError(f"duplicate node {node}")
     n = len(nodes)
-    rel = [[i != j and degenerates_to(nodes[i], nodes[j]) for j in range(n)] for i in range(n)]
+    # down[i]: nodes in the closure of node i's orbit; up[j]: nodes whose
+    # closure holds node j.  (i, j) is a cover iff no k is in both.
+    down = [0] * n
+    up = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if i != j and degenerates_to(nodes[i], nodes[j]):
+                down[i] |= 1 << j
+                up[j] |= 1 << i
     codims = tuple(codimension(node) for node in nodes)
     edges = []
     for i in range(n):
         for j in range(n):
-            if not rel[i][j]:
-                continue
-            if any(rel[i][k] and rel[k][j] for k in range(n) if k != i and k != j):
+            if not down[i] >> j & 1 or down[i] & up[j]:
                 continue
             if codims[i] >= codims[j]:
-                raise AssertionError(
+                raise InvariantViolationError(
                     f"covering edge {nodes[i]} -> {nodes[j]} does not increase codimension"
                 )
             edges.append((i, j))
-    return ClosureGraph(nodes=nodes, codimensions=codims, edges=tuple(sorted(edges)))
+    return ClosureGraph(nodes=nodes, codimensions=codims, edges=tuple(edges))

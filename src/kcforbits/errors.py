@@ -53,6 +53,13 @@ class SearchBudgetExceededError(KcfError):
     """A reachability search exceeded its expansion budget."""
 
 
+class InvariantViolationError(KcfError):
+    """An internal invariant of the theory failed at run time.
+
+    Raised in place of ``assert`` so the check survives ``python -O``.
+    """
+
+
 class NotationError(KcfError):
     """Base class for structure-notation errors."""
 

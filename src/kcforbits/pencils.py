@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import KroneckerStructure, eigenvalues, size_of
-from .errors import MissingLabelError, NonInjectiveAssignmentError
+from .errors import InvariantViolationError, MissingLabelError, NonInjectiveAssignmentError
 
 __all__ = [
     "Rational",
@@ -144,7 +144,8 @@ def realize(K: KroneckerStructure, assignment: dict | None = None) -> RationalPe
         block_a = [[one if i == j + 1 else zero for j in range(k)] for i in range(k + 1)]
         block_b = [[one if i == j else zero for j in range(k)] for i in range(k + 1)]
         place(block_a, block_b, k + 1, k)
-    assert (row, col) == (m, n)
+    if (row, col) != (m, n):
+        raise InvariantViolationError(f"blocks of {K} fill {row}x{col}, not {m}x{n}")
     return RationalPencil(m=m, n=n, a=a, b=b)
 
 

@@ -19,6 +19,15 @@ The moves, on block multisets (J_0 is empty and is dropped):
      with n_i >= 1 summing to p + q + 1 and the mu_i pairwise distinct.
 
 Rules 1-5 preserve the rank; rule 6 raises it by one.
+
+Two searches live here.  :func:`reachable` is the breadth-first path
+finder between two structures.  :class:`RuleGraph` holds every structure
+reachable over one eigenvalue-label universe: each structure is expanded
+once, however many sources reach it, and its descendant set is a
+Python-int bitset over the graph's node indices, so a membership test is
+one index lookup and one bit test.  :func:`reachable_structures` is one
+source on a fresh graph; the exhaustive verifier shares one graph per
+universe across all of its sources.
 """
 
 from collections import deque
@@ -38,6 +47,7 @@ from .core import (
 )
 from .errors import (
     BadParametersError,
+    InvariantViolationError,
     MissingBlocksError,
     PoolTooSmallError,
     SearchBudgetExceededError,
@@ -171,7 +181,10 @@ def apply_rule(K: KroneckerStructure, inst: RuleInstance) -> KroneckerStructure:
     right.extend(produced[1])
     left.extend(produced[2])
     out = KroneckerStructure(jordan, right, left)
-    assert size_of(out) == size_of(K)
+    if size_of(out) != size_of(K):
+        raise InvariantViolationError(
+            f"rule {inst.rule_id} changed the size of {K} to {size_of(out)}"
+        )
     return out
 
 
@@ -285,6 +298,7 @@ def applicable_instances(K: KroneckerStructure, label_pool) -> list:
 
 
 def _fresh_reservoir(count: int, label_sets) -> list:
+    """``count`` finite labels numbered above every finite label in ``label_sets``."""
     base = 1
     for labels in label_sets:
         for lbl in labels:
@@ -299,13 +313,20 @@ def _search_instances(state: KroneckerStructure, universe) -> list:
     return _instances(state, universe, [])
 
 
+def _check_descent(state, inst, child):
+    if codimension(child) >= codimension(state):
+        raise InvariantViolationError(
+            f"rule {inst.rule_id} took {state} to {child} without lowering the codimension"
+        )
+
+
 def reachable(M: KroneckerStructure, L: KroneckerStructure, prune: bool = True):
     """A rule sequence turning ``M`` into ``L``, or None when there is none.
 
     Breadth-first over structures with deduplication, expanding instances
     in sorted order, so the returned path is deterministic and among the
     shortest.  Search depth is bounded because every move strictly lowers
-    the codimension (re-asserted per expansion).  Rule-6 eigenvalues are
+    the codimension (re-checked per expansion).  Rule-6 eigenvalues are
     drawn from the labels of ``M`` and ``L`` plus a reservoir of min(m, n)
     reusable fresh labels, which is enough for every transient eigenvalue
     pattern.
@@ -333,7 +354,7 @@ def reachable(M: KroneckerStructure, L: KroneckerStructure, prune: bool = True):
             continue
         for inst in _search_instances(state, universe):
             child = apply_rule(state, inst)
-            assert codimension(child) < codimension(state)
+            _check_descent(state, inst, child)
             if child in parents:
                 continue
             if prune and not degenerates_to(L, child):
@@ -352,6 +373,82 @@ def reachable(M: KroneckerStructure, L: KroneckerStructure, prune: bool = True):
     return None
 
 
+class RuleGraph:
+    """Prune-free rule reachability over one eigenvalue-label universe.
+
+    Rule-6 eigenvalues are drawn from ``universe``, every label a concrete
+    candidate, so the moves out of a structure depend on the structure and
+    the universe alone.  Each structure is therefore expanded at most once
+    per graph, and ``descendants`` memoizes, in post-order, the bitset
+    desc(X) = bit(X) | OR desc(child) over node indices.  The graph is
+    acyclic because every move lowers the codimension (checked on every
+    edge), so the memo is well founded.  ``max_expansions`` bounds the
+    expansions over the graph's whole life.
+    """
+
+    def __init__(self, universe, max_expansions=None):
+        self.universe = list(universe)
+        self.max_expansions = max_expansions
+        self.expansions = 0
+        self.nodes = []
+        self._index = {}
+        self._children = []
+        self._desc = []  # 0 until computed: a finished bitset holds its own bit
+
+    def node(self, K: KroneckerStructure) -> int:
+        """Index of ``K``, registered unexpanded when it is new."""
+        idx = self._index.get(K)
+        if idx is None:
+            idx = self._index[K] = len(self.nodes)
+            self.nodes.append(K)
+            self._children.append(None)
+            self._desc.append(0)
+        return idx
+
+    def descendants(self, M: KroneckerStructure) -> int:
+        """Bitset of the nodes reachable from ``M``, ``M`` itself included."""
+        desc, children = self._desc, self._children
+        root = self.node(M)
+        stack = [root]
+        while stack:
+            i = stack[-1]
+            if desc[i]:
+                stack.pop()
+                continue
+            if children[i] is None:
+                children[i] = self._expand(i, M)
+            pending = [k for k in children[i] if not desc[k]]
+            if pending:
+                stack.extend(pending)
+                continue
+            bits = 1 << i
+            for k in children[i]:
+                bits |= desc[k]
+            desc[i] = bits
+            stack.pop()
+        return desc[root]
+
+    def members(self, bits: int) -> frozenset:
+        """The structures whose indices are set in ``bits``."""
+        return frozenset(
+            self.nodes[i] for i, bit in enumerate(reversed(bin(bits)[2:])) if bit == "1"
+        )
+
+    def _expand(self, i, source):
+        if self.max_expansions is not None and self.expansions >= self.max_expansions:
+            raise SearchBudgetExceededError(
+                f"reachability from {source} exceeded {self.max_expansions} expansions"
+            )
+        self.expansions += 1
+        state = self.nodes[i]
+        kids = {}
+        for inst in _search_instances(state, self.universe):
+            child = apply_rule(state, inst)
+            _check_descent(state, inst, child)
+            kids[self.node(child)] = None
+        return list(kids)
+
+
 def reachable_structures(M: KroneckerStructure, fresh_labels=None, max_expansions=None):
     """All structures obtainable from ``M`` by rule sequences.
 
@@ -360,28 +457,14 @@ def reachable_structures(M: KroneckerStructure, fresh_labels=None, max_expansion
     the infinity label and a reservoir of min(m, n) finite labels above
     every label of ``M``), so the result contains every reachable
     structure over that label universe; ``M`` itself is included via the
-    empty sequence.
+    empty sequence.  One source on a fresh :class:`RuleGraph`, so
+    ``stats["expansions"]`` equals ``stats["visited"]`` and
+    ``max_expansions`` bounds both.
     """
     m, n = size_of(M)
     evs = sorted(eigenvalues(M), key=_label_key)
     if fresh_labels is None:
         fresh_labels = _fresh_reservoir(min(m, n), [evs]) + [INFINITY]
-    universe = list(dict.fromkeys(evs + list(fresh_labels)))
-    visited = {M}
-    queue = deque([M])
-    expansions = 0
-    while queue:
-        state = queue.popleft()
-        if max_expansions is not None and expansions >= max_expansions:
-            raise SearchBudgetExceededError(
-                f"reachability from {M} exceeded {max_expansions} expansions"
-            )
-        expansions += 1
-        for inst in _search_instances(state, universe):
-            child = apply_rule(state, inst)
-            assert codimension(child) < codimension(state)
-            if child not in visited:
-                visited.add(child)
-                queue.append(child)
-    stats = {"visited": len(visited), "expansions": expansions}
-    return frozenset(visited), stats
+    graph = RuleGraph(dict.fromkeys(evs + list(fresh_labels)), max_expansions)
+    reached = graph.members(graph.descendants(M))
+    return reached, {"visited": len(reached), "expansions": graph.expansions}

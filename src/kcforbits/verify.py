@@ -270,14 +270,29 @@ def _majorization_equalities(L, M) -> bool:
     return True
 
 
+def _matched_targets(nodes):
+    """``label_matchings`` of every node against an eigenvalue set, memoized.
+
+    The re-embedded targets of a source M depend only on M's eigenvalue
+    set, so each set is matched once per suite call.
+    """
+    memo = {}
+
+    def targets(m_labels):
+        if m_labels not in memo:
+            memo[m_labels] = [L for L0 in nodes for L in label_matchings(L0, m_labels)]
+        return memo[m_labels]
+
+    return targets
+
+
 def _pair_instances(nodes, max_pairs):
     """Ordered pairs (L, M) with M canonical and L re-embedded against M."""
     _pair_budget(nodes, max_pairs)
+    targets = _matched_targets(nodes)
     for M in nodes:
-        m_labels = eigenvalues(M)
-        for L0 in nodes:
-            for L in label_matchings(L0, m_labels):
-                yield L, M
+        for L in targets(eigenvalues(M)):
+            yield L, M
 
 
 def verify_codimension_monotonicity(
@@ -338,42 +353,58 @@ def cross_validate_characterizations(
 ) -> VerificationReport:
     """Majorization test vs prune-free rule reachability, on all pairs.
 
-    For each canonical source M the full set of rule-reachable structures
-    is computed once (breadth-first, no majorization consulted), then
-    every re-embedded target L is tested for membership and compared with
-    ``degenerates_to(L, M)``.
+    A source M searches over its eigenvalues plus a shared fresh-label
+    reservoir (and the infinity label), so there are at most
+    min(m, n) + 1 distinct search universes.  One :class:`rules.RuleGraph`
+    per universe expands each structure once for all sources, without
+    consulting majorizations; ``max_expansions`` bounds each graph.  Every
+    re-embedded target L is then tested for membership in M's descendant
+    bitset and compared with ``degenerates_to(L, M)``.  The targets and
+    their graph indices are computed once per eigenvalue set.
     """
     start = time.monotonic()
     nodes = enumerate_structures(m, n, pool_size, include_infinity)
     _pair_budget(nodes, max_pairs)
-    reservoir = _shared_reservoir(m, n, nodes)
-    search_labels = reservoir + ([INFINITY] if include_infinity else [])
+    # label_matchings re-embeds unmatched labels right above the targets,
+    # so the reservoir must start there too
+    reservoir = rules._fresh_reservoir(min(m, n), map(eigenvalues, nodes))
+    search_labels = tuple(reservoir) + ((INFINITY,) if include_infinity else ())
+    targets = _matched_targets(nodes)
+    graphs = {}
+    indexed = {}
     tracker = _Tracker()
     pair_count = 0
     for M in nodes:
-        reached, stats = rules.reachable_structures(
-            M, fresh_labels=search_labels, max_expansions=max_expansions
-        )
         m_labels = eigenvalues(M)
-        for L0 in nodes:
-            for L in label_matchings(L0, m_labels):
-                pair_count += 1
-                via_rules = _embed_fresh(L, m_labels, reservoir) in reached
-                via_majorization = degenerates_to(L, M)
+        universe = dict.fromkeys(m_labels + search_labels)
+        key = frozenset(universe)
+        if key not in graphs:
+            graphs[key] = rules.RuleGraph(universe, max_expansions)
+        graph = graphs[key]
+        reached = graph.descendants(M)
+        if m_labels not in indexed:
+            indexed[m_labels] = [
+                (L, graph.node(_embed_fresh(L, m_labels, reservoir))) for L in targets(m_labels)
+            ]
+        for L, idx in indexed[m_labels]:
+            pair_count += 1
+            via_rules = bool(reached >> idx & 1)
+            via_majorization = degenerates_to(L, M)
 
-                def info():
-                    report = majorization_report(L, M)
-                    return {
-                        "L": str(L),
-                        "M": str(M),
-                        "majorization": via_majorization,
-                        "rule_reachable": via_rules,
-                        "partial_sums": report["conditions"],
-                        "search": stats,
-                    }
+            def info():
+                report = majorization_report(L, M)
+                return {
+                    "L": str(L),
+                    "M": str(M),
+                    "majorization": via_majorization,
+                    "rule_reachable": via_rules,
+                    "partial_sums": report["conditions"],
+                    "search": {"visited": reached.bit_count(),
+                               "expansions": graph.expansions},
+                }
 
-                tracker.record("majorization_matches_reachability",
-                               via_rules == via_majorization, info)
+            tracker.record("majorization_matches_reachability",
+                           via_rules == via_majorization, info)
     checks = tracker.results(["majorization_matches_reachability"])
     return VerificationReport(
         size=(m, n),
@@ -382,17 +413,6 @@ def cross_validate_characterizations(
         checks=checks,
         elapsed_seconds=time.monotonic() - start,
     )
-
-
-def _shared_reservoir(m, n, nodes):
-    base = 1
-    for node in nodes:
-        for lbl in eigenvalues(node):
-            if not lbl.is_infinite:
-                base = max(base, lbl.id + 1)
-    # label_matchings re-embeds unmatched labels right above the targets,
-    # so the reservoir must start there too
-    return [finite(base + i) for i in range(min(m, n))]
 
 
 def _embed_fresh(L, m_labels, reservoir):

@@ -2,19 +2,26 @@
 
 The oracles here deliberately re-derive results along different routes
 than the library: plain rational Gaussian elimination instead of
-fraction-free elimination, and direct block-multiset search instead of
-the budgeted structure enumerator.
+fraction-free elimination, direct block-multiset search instead of
+the budgeted structure enumerator, a fresh breadth-first search per
+source instead of the shared rule graph, and a triple-loop transitive
+reduction instead of the bitset one.
 """
 
 import re
+from collections import deque
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from kcforbits import rules
+from kcforbits.closure import degenerates_to
 from kcforbits.core import (
     INFINITY,
     KroneckerStructure,
     canonicalize,
+    codimension,
+    eigenvalues,
     finite,
     size_of,
 )
@@ -40,6 +47,36 @@ def naive_rank(matrix) -> int:
                 rows[i] = [rows[i][j] - f * rows[rank][j] for j in range(ncols)]
         rank += 1
     return rank
+
+
+def bfs_reachable_structures(M, fresh_labels):
+    """Every structure rule-reachable from ``M``, by a fresh breadth-first
+    search over the eigenvalues of ``M`` plus ``fresh_labels``."""
+    evs = sorted(eigenvalues(M), key=lambda lbl: lbl.sort_key())
+    universe = list(dict.fromkeys(evs + list(fresh_labels)))
+    visited = {M}
+    queue = deque([M])
+    while queue:
+        state = queue.popleft()
+        for inst in rules._search_instances(state, universe):
+            child = rules.apply_rule(state, inst)
+            assert codimension(child) < codimension(state)
+            if child not in visited:
+                visited.add(child)
+                queue.append(child)
+    return frozenset(visited)
+
+
+def naive_hasse_edges(nodes):
+    """Covering pairs (i, j) of the closure order, by the O(n^3) reduction."""
+    n = len(nodes)
+    rel = [[i != j and degenerates_to(nodes[i], nodes[j]) for j in range(n)] for i in range(n)]
+    return tuple(
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if rel[i][j] and not any(rel[i][k] and rel[k][j] for k in range(n) if k != i and k != j)
+    )
 
 
 def brute_force_structures(m, n, pool_size, include_infinity=True):

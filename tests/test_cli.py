@@ -3,10 +3,11 @@ import json
 import pytest
 
 from conftest import check_dot
+from kcforbits import cli
 from kcforbits import verify as verify_mod
 from kcforbits.cli import main
 from kcforbits.closure import build_closure_graph
-from kcforbits.verify import enumerate_structures
+from kcforbits.verify import cross_validate_characterizations, enumerate_structures
 
 
 def run(capsys, *argv):
@@ -141,6 +142,24 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "2", "2")
         assert code == 70
         assert "guard limit" in err
+
+    @pytest.mark.parametrize("value", ["abc", "-5", "1.5"])
+    def test_bad_max_pairs_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("KCF_MAX_PAIRS", value)
+        code, out, err = run(capsys, "verify", "2", "2")
+        assert code == 64
+        assert out == ""
+        assert err == f"error: KCF_MAX_PAIRS must be a non-negative integer, got {value!r}\n"
+
+    def test_rule_search_budget_exits_70(self, capsys, monkeypatch):
+        def tight(m, n, **kwargs):
+            return cross_validate_characterizations(m, n, **{**kwargs, "max_expansions": 1})
+
+        monkeypatch.setitem(cli._SUITES, "rules", tight)
+        code, out, err = run(capsys, "verify", "3", "3", "--checks", "rules")
+        assert code == 70
+        assert out == ""
+        assert err.startswith("guard limit: reachability from ")
 
 
 class TestRealize:

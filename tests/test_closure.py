@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import nonincreasing_seqs
+from conftest import naive_hasse_edges, nonincreasing_seqs
+from kcforbits import closure
 from kcforbits.closure import (
     build_closure_graph,
     degenerates_to,
@@ -10,7 +11,7 @@ from kcforbits.closure import (
     weakly_majorizes,
 )
 from kcforbits.core import INFINITY, KroneckerStructure, finite, rank_of
-from kcforbits.errors import DuplicateNodeError, SizeMismatchError
+from kcforbits.errors import DuplicateNodeError, InvariantViolationError, SizeMismatchError
 from kcforbits.verify import enumerate_structures, label_matchings
 
 e1, e2 = finite(1), finite(2)
@@ -193,3 +194,15 @@ class TestClosureGraph:
         graph = build_closure_graph(nodes)
         for i, j in graph.edges:
             assert graph.codimensions[i] < graph.codimensions[j]
+
+    @pytest.mark.parametrize(
+        "m,n", [(m, n) for m in range(1, 5) for n in range(1, 6)] + [(5, 4)]
+    )
+    def test_bitset_reduction_matches_triple_loop(self, m, n):
+        nodes = enumerate_structures(m, n)
+        assert build_closure_graph(nodes).edges == naive_hasse_edges(nodes)
+
+    def test_edge_without_codimension_increase_raises(self, monkeypatch):
+        monkeypatch.setattr(closure, "codimension", lambda K: 0)
+        with pytest.raises(InvariantViolationError):
+            build_closure_graph([J1, ZERO_1x1])

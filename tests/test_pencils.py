@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import naive_rank
+from kcforbits import pencils
 from kcforbits.core import (
     INFINITY,
     KroneckerStructure,
@@ -11,7 +12,11 @@ from kcforbits.core import (
     finite,
     rank_of,
 )
-from kcforbits.errors import MissingLabelError, NonInjectiveAssignmentError
+from kcforbits.errors import (
+    InvariantViolationError,
+    MissingLabelError,
+    NonInjectiveAssignmentError,
+)
 from kcforbits.pencils import (
     RationalPencil,
     default_assignment,
@@ -165,3 +170,9 @@ def test_pencil_json_round_shape():
     P = realize(S(jordan=[(e1, 1)]), {e1: Fraction(7, 2)})
     payload = P.to_json_dict()
     assert payload == {"m": 1, "n": 1, "a": [["-7/2"]], "b": [["1"]]}
+
+
+def test_realize_checks_block_fill(monkeypatch):
+    monkeypatch.setattr(pencils, "size_of", lambda K: (3, 3))
+    with pytest.raises(InvariantViolationError):
+        realize(KroneckerStructure([(finite(1), 2)]))

@@ -1,5 +1,10 @@
+import subprocess
+import sys
+
 import pytest
 
+from conftest import bfs_reachable_structures
+from kcforbits import rules
 from kcforbits.closure import degenerates_to
 from kcforbits.core import (
     INFINITY,
@@ -12,12 +17,14 @@ from kcforbits.core import (
 )
 from kcforbits.errors import (
     BadParametersError,
+    InvariantViolationError,
     MissingBlocksError,
     PoolTooSmallError,
     SearchBudgetExceededError,
     SizeMismatchError,
 )
 from kcforbits.rules import (
+    RuleGraph,
     RuleInstance,
     applicable_instances,
     apply_rule,
@@ -25,7 +32,11 @@ from kcforbits.rules import (
     reachable,
     reachable_structures,
 )
-from kcforbits.verify import enumerate_structures, label_matchings
+from kcforbits.verify import (
+    cross_validate_characterizations,
+    enumerate_structures,
+    label_matchings,
+)
 
 e1, e2, e3 = finite(1), finite(2), finite(3)
 
@@ -248,3 +259,108 @@ class TestReachableStructures:
     def test_budget(self):
         with pytest.raises(SearchBudgetExceededError):
             reachable_structures(ZERO_1x1, max_expansions=0)
+
+    def test_stats_and_exact_budget(self):
+        M = S(right=[0, 0], left=[0, 0])
+        reached, stats = reachable_structures(M)
+        assert stats == {"visited": len(reached), "expansions": len(reached)}
+        assert reachable_structures(M, max_expansions=len(reached))[0] == reached
+        with pytest.raises(SearchBudgetExceededError):
+            reachable_structures(M, max_expansions=len(reached) - 1)
+
+    def test_matches_bfs_oracle(self):
+        M = S(right=[0, 0], left=[0, 0])
+        fresh = [e1, e2, INFINITY]
+        assert reachable_structures(M, fresh_labels=fresh)[0] == bfs_reachable_structures(M, fresh)
+
+
+def _suite_sources(m, n, include_infinity):
+    """Each canonical source with the search universe the rules suite gives it."""
+    nodes = enumerate_structures(m, n, include_infinity=include_infinity)
+    reservoir = rules._fresh_reservoir(min(m, n), map(eigenvalues, nodes))
+    search_labels = reservoir + ([INFINITY] if include_infinity else [])
+    for M in nodes:
+        yield M, search_labels, frozenset(eigenvalues(M) + tuple(search_labels))
+
+
+_SHARED_GRAPH_SIZES = [(m, n) for m in range(1, 5) for n in range(1, 5) if (m, n) != (4, 4)]
+
+
+@pytest.mark.parametrize("include_infinity", [True, False])
+@pytest.mark.parametrize("m,n", _SHARED_GRAPH_SIZES)
+def test_shared_graph_matches_per_source_bfs(m, n, include_infinity):
+    # one graph per universe, sources in suite order, so later sources
+    # reuse the descendant sets memoized for earlier ones
+    graphs = {}
+    for M, search_labels, universe in _suite_sources(m, n, include_infinity):
+        graph = graphs.setdefault(universe, RuleGraph(universe))
+        reached = graph.members(graph.descendants(M))
+        assert reached == bfs_reachable_structures(M, search_labels), str(M)
+
+
+def test_rules_suite_expands_each_node_once(monkeypatch):
+    calls = []
+    search = rules._search_instances
+
+    def counting(state, universe):
+        calls.append((state, frozenset(universe)))
+        return search(state, universe)
+
+    monkeypatch.setattr(rules, "_search_instances", counting)
+    assert cross_validate_characterizations(3, 3).passed
+    monkeypatch.setattr(rules, "_search_instances", search)
+    expected = set()
+    for M, search_labels, universe in _suite_sources(3, 3, True):
+        expected.update((K, universe) for K in bfs_reachable_structures(M, search_labels))
+    assert len(calls) == len(set(calls))
+    assert set(calls) == expected
+
+
+def test_rules_suite_budget():
+    with pytest.raises(SearchBudgetExceededError):
+        cross_validate_characterizations(3, 3, max_expansions=1)
+
+
+class TestInvariantChecks:
+    def test_rule_graph_checks_descent(self, monkeypatch):
+        target = S(jordan=[(e1, 1), (e2, 1)])
+        monkeypatch.setattr(rules, "codimension", lambda K: -1 if K == target else 0)
+        with pytest.raises(InvariantViolationError):
+            reachable_structures(ZERO_1x1)
+        with pytest.raises(InvariantViolationError):
+            reachable(S(right=[0, 0], left=[0, 0]), target, prune=False)
+
+    def test_apply_rule_checks_size(self, monkeypatch):
+        monkeypatch.setattr(rules, "size_of", lambda K: (len(K.jordan), 0))
+        with pytest.raises(InvariantViolationError):
+            apply_rule(S(jordan=[(e1, 1), (e1, 2)]), RuleInstance(5, j=1, k=2, mu=e1))
+
+    def test_checks_survive_optimized_mode(self):
+        script = (
+            "import sys\n"
+            "from kcforbits import rules\n"
+            "from kcforbits.core import KroneckerStructure\n"
+            "from kcforbits.errors import InvariantViolationError\n"
+            "from kcforbits.cli import main\n"
+            "assert False, 'asserts must be stripped here'\n"
+            "rules.codimension = lambda K: 0\n"
+            "try:\n"
+            "    rules.reachable_structures(KroneckerStructure(right=[0], left=[0]))\n"
+            "except InvariantViolationError:\n"
+            "    sys.exit(main(['verify', '1', '1', '--checks', 'rules']))\n"
+            "sys.exit(1)\n"
+        )
+        done = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("invariant violated: ")
+
+
+def test_rule_graph_recovers_after_budget_error():
+    M = S(right=[0, 0], left=[0, 0])
+    fresh = [e1, e2, INFINITY]
+    graph = RuleGraph(dict.fromkeys(fresh), max_expansions=3)
+    with pytest.raises(SearchBudgetExceededError):
+        graph.descendants(M)
+    graph.max_expansions = None
+    assert graph.members(graph.descendants(M)) == bfs_reachable_structures(M, fresh)

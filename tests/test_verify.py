@@ -157,3 +157,27 @@ class TestSuites:
         assert failing and not failing[0].passed
         example = failing[0].counterexample
         assert {"L", "M", "codim_L", "codim_M", "h", "violations"} <= set(example)
+
+
+class TestMatchingsMemo:
+    def test_pair_order_unchanged(self):
+        nodes = enumerate_structures(3, 3)
+        naive = [(L, M) for M in nodes for L0 in nodes
+                 for L in label_matchings(L0, eigenvalues(M))]
+        assert list(verify_mod._pair_instances(nodes, 10**7)) == naive
+
+    @pytest.mark.parametrize("suite", [verify_codimension_monotonicity,
+                                       cross_validate_characterizations])
+    def test_one_call_per_eigenvalue_set_and_node(self, monkeypatch, suite):
+        calls = []
+        matchings = verify_mod.label_matchings
+
+        def counting(K, target_labels):
+            calls.append((K, tuple(target_labels)))
+            return matchings(K, target_labels)
+
+        monkeypatch.setattr(verify_mod, "label_matchings", counting)
+        assert suite(3, 3).passed
+        nodes = enumerate_structures(3, 3)
+        eigenvalue_sets = {eigenvalues(M) for M in nodes}
+        assert len(calls) == len(set(calls)) == len(eigenvalue_sets) * len(nodes)
