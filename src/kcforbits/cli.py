@@ -20,6 +20,7 @@ from .errors import (
     InvariantViolationError,
     KcfError,
     NotationError,
+    NotationLimitExceededError,
     SearchBudgetExceededError,
 )
 from .notation import parse_eigenvalue, parse_structure, structure_to_json_dict
@@ -316,7 +317,8 @@ def main(argv=None) -> int:
     except NotationError as exc:
         print(f"notation error: {exc}", file=sys.stderr)
         return EXIT_NOTATION
-    except (EnumerationLimitExceededError, SearchBudgetExceededError) as exc:
+    except (EnumerationLimitExceededError, NotationLimitExceededError,
+            SearchBudgetExceededError) as exc:
         print(f"guard limit: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except InvariantViolationError as exc:

@@ -11,6 +11,7 @@ degenerate to the more special structure M.
 from dataclasses import dataclass
 
 from .core import (
+    EigenvalueLabel,
     KroneckerStructure,
     codimension,
     eigenvalues,
@@ -23,6 +24,7 @@ from .errors import DuplicateNodeError, InvariantViolationError, SizeMismatchErr
 
 __all__ = [
     "weakly_majorizes",
+    "majorization_conditions",
     "degenerates_to",
     "same_orbit",
     "majorization_report",
@@ -31,21 +33,17 @@ __all__ = [
 ]
 
 
-def _prefix_dominated(lower, upper, shift: int) -> bool:
-    """lower weakly majorized by upper + (shift, shift, ...), shift >= 0.
+def _partial_sums(lower, upper, shift: int):
+    """(j, lhs, rhs) of ``lower`` against ``upper + (shift, shift, ...)``.
 
-    The j-th partial-sum comparison adds j*shift to the right side; the
-    shifted sequence is never materialized.  Only the first len(lower)
-    comparisons can fail: past that point the left side is constant while
-    the right side keeps growing.
+    Only j = 1 .. len(lower) can fail: past that the left side is constant
+    while the right side keeps growing.
     """
     left = right = 0
     for j, value in enumerate(lower, start=1):
         left += value
         right += upper[j - 1] if j <= len(upper) else 0
-        if left > right + j * shift:
-            return False
-    return True
+        yield j, left, right + j * shift
 
 
 def weakly_majorizes(upper, lower) -> bool:
@@ -54,32 +52,44 @@ def weakly_majorizes(upper, lower) -> bool:
     Both sequences must be non-increasing and non-negative; they are
     treated as zero-extended to infinite length.
     """
-    return _prefix_dominated(tuple(lower), tuple(upper), 0)
+    return all(lhs <= rhs for _, lhs, rhs in _partial_sums(tuple(lower), tuple(upper), 0))
+
+
+def majorization_conditions(L: KroneckerStructure, M: KroneckerStructure):
+    """The majorizations behind ``degenerates_to(L, M)``, as (name, lower, upper).
+
+    In this order: r(M) against r(L), l(M) against l(L), then W(mu, L)
+    against W(mu, M) for each eigenvalue mu of either structure, in label
+    order.  Each holds when ``lower`` is weakly majorized by ``upper``
+    shifted by the rank drop h.
+    """
+    yield "right", weyr_singular(M, "right"), weyr_singular(L, "right")
+    yield "left", weyr_singular(M, "left"), weyr_singular(L, "left")
+    for mu in sorted({*eigenvalues(L), *eigenvalues(M)}, key=EigenvalueLabel.sort_key):
+        yield f"eigenvalue {mu}", weyr_jordan(L, mu), weyr_jordan(M, mu)
+
+
+def _rank_drop(L: KroneckerStructure, M: KroneckerStructure) -> int:
+    if size_of(L) != size_of(M):
+        raise SizeMismatchError(f"cannot compare {size_of(L)} with {size_of(M)}")
+    return rank_of(L) - rank_of(M)
 
 
 def degenerates_to(L: KroneckerStructure, M: KroneckerStructure) -> bool:
     """True iff M lies in the closure of the orbit of L.
 
     Requires the same pencil size, and decides via h = rank L - rank M
-    plus the three shifted majorizations: r(M) against r(L), l(M)
-    against l(L), and W(mu, L) against W(mu, M) for each eigenvalue mu
-    of either structure.  Eigenvalue labels are compared as concrete
-    identities, so structures with disjoint eigenvalues are unrelated
-    unless the Jordan parts can vanish into the shifts.
+    plus the shifted majorizations of :func:`majorization_conditions`.
+    Eigenvalue labels are compared as concrete identities, so structures
+    with disjoint eigenvalues are unrelated unless the Jordan parts can
+    vanish into the shifts.
     """
-    if size_of(L) != size_of(M):
-        raise SizeMismatchError(f"cannot compare {size_of(L)} with {size_of(M)}")
-    h = rank_of(L) - rank_of(M)
-    if h < 0:
-        return False
-    if not _prefix_dominated(weyr_singular(M, "right"), weyr_singular(L, "right"), h):
-        return False
-    if not _prefix_dominated(weyr_singular(M, "left"), weyr_singular(L, "left"), h):
-        return False
-    for mu in set(eigenvalues(L)) | set(eigenvalues(M)):
-        if not _prefix_dominated(weyr_jordan(L, mu), weyr_jordan(M, mu), h):
-            return False
-    return True
+    h = _rank_drop(L, M)
+    return h >= 0 and all(
+        lhs <= rhs
+        for _, lower, upper in majorization_conditions(L, M)
+        for _, lhs, rhs in _partial_sums(lower, upper, h)
+    )
 
 
 def same_orbit(L: KroneckerStructure, M: KroneckerStructure) -> bool:
@@ -92,50 +102,29 @@ def same_orbit(L: KroneckerStructure, M: KroneckerStructure) -> bool:
     return L == M
 
 
-def _dominance_detail(name, lower, upper, shift):
-    rows = []
-    ok = True
-    left = right = 0
-    for j in range(1, len(lower) + 1):
-        left += lower[j - 1]
-        right += upper[j - 1] if j <= len(upper) else 0
-        holds = left <= right + j * shift
-        rows.append({"j": j, "lhs": left, "rhs": right + j * shift, "ok": holds})
-        ok = ok and holds
-    return {
-        "condition": name,
-        "lower": list(lower),
-        "upper": list(upper),
-        "shift": shift,
-        "ok": ok,
-        "partial_sums": rows,
-    }
-
-
 def majorization_report(L: KroneckerStructure, M: KroneckerStructure) -> dict:
     """Full partial-sum witnesses behind ``degenerates_to(L, M)``."""
-    if size_of(L) != size_of(M):
-        raise SizeMismatchError(f"cannot compare {size_of(L)} with {size_of(M)}")
-    h = rank_of(L) - rank_of(M)
+    h = _rank_drop(L, M)
     conditions = []
-    if h >= 0:
-        conditions.append(
-            _dominance_detail("right", weyr_singular(M, "right"), weyr_singular(L, "right"), h)
-        )
-        conditions.append(
-            _dominance_detail("left", weyr_singular(M, "left"), weyr_singular(L, "left"), h)
-        )
-        for mu in sorted(set(eigenvalues(L)) | set(eigenvalues(M)), key=lambda x: x.sort_key()):
-            conditions.append(
-                _dominance_detail(f"eigenvalue {mu}", weyr_jordan(L, mu), weyr_jordan(M, mu), h)
-            )
-    verdict = h >= 0 and all(c["ok"] for c in conditions)
+    for name, lower, upper in majorization_conditions(L, M) if h >= 0 else ():
+        rows = [
+            {"j": j, "lhs": lhs, "rhs": rhs, "ok": lhs <= rhs}
+            for j, lhs, rhs in _partial_sums(lower, upper, h)
+        ]
+        conditions.append({
+            "condition": name,
+            "lower": list(lower),
+            "upper": list(upper),
+            "shift": h,
+            "ok": all(row["ok"] for row in rows),
+            "partial_sums": rows,
+        })
     return {
         "L": str(L),
         "M": str(M),
         "h": h,
         "conditions": conditions,
-        "in_closure": verdict,
+        "in_closure": h >= 0 and all(c["ok"] for c in conditions),
         "same_orbit": same_orbit(L, M),
         "codim_L": codimension(L),
         "codim_M": codimension(M),
@@ -206,17 +195,14 @@ def build_closure_graph(nodes) -> ClosureGraph:
     raise the codimension.
     """
     nodes = tuple(nodes)
-    if len(nodes) > 1:
-        base = size_of(nodes[0])
-        for node in nodes[1:]:
-            if size_of(node) != base:
-                raise SizeMismatchError(
-                    f"node {node} has size {size_of(node)}, expected {base}"
-                )
-    for i, node in enumerate(nodes):
-        for other in nodes[i + 1 :]:
-            if same_orbit(node, other):
-                raise DuplicateNodeError(f"duplicate node {node}")
+    seen = set()
+    for node in nodes:
+        if size_of(node) != size_of(nodes[0]):
+            raise SizeMismatchError(f"node {node} has size {size_of(node)}, "
+                                    f"expected {size_of(nodes[0])}")
+        if node in seen:
+            raise DuplicateNodeError(f"duplicate node {node}")
+        seen.add(node)
     n = len(nodes)
     # down[i]: nodes in the closure of node i's orbit; up[j]: nodes whose
     # closure holds node j.  (i, j) is a cover iff no k is in both.

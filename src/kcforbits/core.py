@@ -15,8 +15,11 @@ never on its numeric value, so labels suffice; exact numeric pencils are
 produced separately by :mod:`kcforbits.pencils`.
 """
 
-from dataclasses import dataclass
-from functools import cache
+from bisect import bisect_left
+from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter, mul
+from typing import NamedTuple
 
 __all__ = [
     "EigenvalueLabel",
@@ -35,7 +38,6 @@ __all__ = [
     "segre_characteristic",
     "relabel",
     "weyr_characteristic",
-    "strip_trailing_zeros",
     "is_weakly_decreasing",
     "partitions_desc",
     "partition_multisets",
@@ -90,6 +92,17 @@ def _jordan_key(entry):
     return (lbl.sort_key(), size)
 
 
+class _Invariants(NamedTuple):
+    hash_value: int  # hash of structure_sort_key: ints only
+    size: tuple  # (m, n)
+    rank: int
+    labels: tuple  # distinct eigenvalues, in label order
+    r: tuple  # (r_0, r_1, ...)
+    l: tuple  # (l_0, l_1, ...)
+    weyr: tuple  # (label, (W_1, W_2, ...)) pairs, in label order
+    codim: int
+
+
 @dataclass(frozen=True, slots=True)
 class KroneckerStructure:
     """A multiset of canonical blocks: the symbolic KCF of a pencil.
@@ -99,11 +112,17 @@ class KroneckerStructure:
     and left singular blocks.  All three are normalized to sorted tuples
     on construction, so equality is multiset equality with eigenvalue
     labels compared as concrete identities.
+
+    The invariants and the hash are computed on first use and then
+    carried (a race only computes the same values twice); read them
+    through the module functions.  The hash is built from ints only, so
+    a copy pickled under another ``PYTHONHASHSEED`` hashes alike.
     """
 
     jordan: tuple = ()
     right: tuple = ()
     left: tuple = ()
+    _inv: _Invariants | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         jordan = []
@@ -125,6 +144,14 @@ class KroneckerStructure:
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "left", left)
 
+    def __hash__(self) -> int:
+        return self._invariants().hash_value
+
+    def _invariants(self) -> _Invariants:
+        if self._inv is None:
+            object.__setattr__(self, "_inv", _compute_invariants(self))
+        return self._inv
+
     def __str__(self) -> str:
         terms = [f"J({s};{lbl})" for lbl, s in self.jordan]
         terms += [f"L({k})" for k in self.right]
@@ -135,24 +162,42 @@ class KroneckerStructure:
         return f"<{self}>" if (self.jordan or self.right or self.left) else "<empty pencil>"
 
 
-@cache
+def _compute_invariants(K: KroneckerStructure) -> _Invariants:
+    # K.jordan is sorted by label, then size: each label's sizes are one run
+    weyr = tuple([
+        (lbl, _weyr([s for _, s in run], 1)) for lbl, run in groupby(K.jordan, key=itemgetter(0))
+    ])
+    r, ell = _weyr(K.right, 0), _weyr(K.left, 0)
+    content = sum([s for _, s in K.jordan]) + sum(K.right) + sum(K.left)
+    m, n = content + len(K.left), content + len(K.right)
+    # l_0*n + r_0*m - sum r_i*r_{i+1} - sum l_i*l_{i+1} + sum_mu sum W_i(mu)^2
+    codim = len(K.left) * n + len(K.right) * m
+    codim -= sum(map(mul, r, r[1:])) + sum(map(mul, ell, ell[1:]))
+    codim += sum([sum(map(mul, seq, seq)) for _, seq in weyr])
+    return _Invariants(hash(structure_sort_key(K)), (m, n), n - len(K.right),
+                       tuple([lbl for lbl, _ in weyr]), r, ell, weyr, codim)
+
+
+def _weyr(sorted_sizes, start: int) -> tuple:
+    """Entry i, from ``start`` on, counts the sizes >= i; () when empty."""
+    if not sorted_sizes:
+        return ()
+    k = len(sorted_sizes)
+    return tuple([k - bisect_left(sorted_sizes, i) for i in range(start, sorted_sizes[-1] + 1)])
+
+
 def size_of(K: KroneckerStructure) -> tuple:
     """Row and column count (m, n) of any pencil with structure ``K``."""
-    j = sum(s for _, s in K.jordan)
-    m = j + sum(K.right) + sum(k + 1 for k in K.left)
-    n = j + sum(k + 1 for k in K.right) + sum(K.left)
-    return (m, n)
+    return K._invariants().size
 
 
-@cache
 def rank_of(K: KroneckerStructure) -> int:
     """Normal rank of a pencil with structure ``K``.
 
     Equals n minus the number of right singular blocks, which coincides
     with m minus the number of left singular blocks.
     """
-    m, n = size_of(K)
-    return n - len(K.right)
+    return K._invariants().rank
 
 
 def jordan_sizes(K: KroneckerStructure, mu: EigenvalueLabel) -> tuple:
@@ -164,19 +209,9 @@ def segre_characteristic(K: KroneckerStructure, mu: EigenvalueLabel) -> tuple:
     return tuple(sorted(jordan_sizes(K, mu), reverse=True))
 
 
-@cache
 def eigenvalues(K: KroneckerStructure) -> tuple:
     """Distinct eigenvalue labels of ``K``, in label order."""
-    seen = {lbl for lbl, _ in K.jordan}
-    return tuple(sorted(seen, key=EigenvalueLabel.sort_key))
-
-
-def strip_trailing_zeros(seq) -> tuple:
-    seq = tuple(seq)
-    end = len(seq)
-    while end > 0 and seq[end - 1] == 0:
-        end -= 1
-    return seq[:end]
+    return K._invariants().labels
 
 
 def is_weakly_decreasing(seq) -> bool:
@@ -189,26 +224,20 @@ def weyr_characteristic(sizes, include_zero: bool = False) -> tuple:
 
     Entry i counts how many sizes are >= i.  With ``include_zero`` the
     sequence starts at index 0 (so the first entry is the multiset
-    cardinality); otherwise it starts at index 1.  Trailing zeros are
-    stripped, so the empty multiset yields ().
+    cardinality); otherwise it starts at index 1.  It ends at the largest
+    size, so it has no trailing zeros and the empty multiset yields ().
     """
-    sizes = tuple(sizes)
-    top = max(sizes, default=0)
-    start = 0 if include_zero else 1
-    seq = tuple(sum(1 for s in sizes if s >= i) for i in range(start, top + 1))
-    return strip_trailing_zeros(seq)
+    return _weyr(sorted(sizes), 0 if include_zero else 1)
 
 
-@cache
 def weyr_jordan(K: KroneckerStructure, mu: EigenvalueLabel) -> tuple:
     """(W_1, W_2, ...) for the Jordan blocks of ``K`` at ``mu``.
 
     Empty when ``mu`` is not an eigenvalue of ``K``.
     """
-    return weyr_characteristic(jordan_sizes(K, mu))
+    return next((seq for lbl, seq in K._invariants().weyr if lbl == mu), ())
 
 
-@cache
 def weyr_singular(K: KroneckerStructure, side: str) -> tuple:
     """(r_0, r_1, ...) or (l_0, l_1, ...) of the singular blocks.
 
@@ -216,15 +245,12 @@ def weyr_singular(K: KroneckerStructure, side: str) -> tuple:
     included.
     """
     if side == "right":
-        sizes = K.right
-    elif side == "left":
-        sizes = K.left
-    else:
-        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    return weyr_characteristic(sizes, include_zero=True)
+        return K._invariants().r
+    if side == "left":
+        return K._invariants().l
+    raise ValueError(f"side must be 'right' or 'left', got {side!r}")
 
 
-@cache
 def codimension(K: KroneckerStructure) -> int:
     """Codimension of the orbit of any pencil with structure ``K``.
 
@@ -233,17 +259,7 @@ def codimension(K: KroneckerStructure) -> int:
         + sum_mu sum_{i>=1} W_i(mu)^2
     where the eigenvalue sum runs over the distinct eigenvalues present.
     """
-    m, n = size_of(K)
-    r = weyr_singular(K, "right")
-    ell = weyr_singular(K, "left")
-    r0 = r[0] if r else 0
-    l0 = ell[0] if ell else 0
-    total = l0 * n + r0 * m
-    total -= sum(r[i] * r[i + 1] for i in range(len(r) - 1))
-    total -= sum(ell[i] * ell[i + 1] for i in range(len(ell) - 1))
-    for mu in eigenvalues(K):
-        total += sum(w * w for w in weyr_jordan(K, mu))
-    return total
+    return K._invariants().codim
 
 
 def orbit_dimension(K: KroneckerStructure) -> int:
@@ -277,7 +293,6 @@ def _partition_order_key(p: tuple) -> tuple:
     return tuple(-s for s in p)
 
 
-@cache
 def canonicalize(K: KroneckerStructure) -> KroneckerStructure:
     """Normal form of ``K`` under renaming of finite eigenvalue labels.
 

@@ -53,6 +53,10 @@ class SearchBudgetExceededError(KcfError):
     """A reachability search exceeded its expansion budget."""
 
 
+class NotationLimitExceededError(KcfError):
+    """A well-formed integer in structure notation exceeds the guard limit."""
+
+
 class InvariantViolationError(KcfError):
     """An internal invariant of the theory failed at run time.
 

@@ -7,6 +7,9 @@ Grammar (whitespace insignificant):
     eig       := 'inf' | 'e' digits
     size      := decimal integer   (J needs size >= 1, L/LT need >= 0)
 
+Integers (sizes and eigenvalue ids) longer than ``MAX_DIGITS`` significant
+digits raise :class:`NotationLimitExceededError` before conversion.
+
 ``parse_structure`` and ``format_structure`` round-trip on canonical
 structures; the formatter emits Jordan terms first, then L, then LT,
 each in sorted order.
@@ -15,7 +18,7 @@ each in sorted order.
 import re
 
 from .core import INFINITY, EigenvalueLabel, KroneckerStructure, finite
-from .errors import DomainError, ParseError
+from .errors import DomainError, NotationLimitExceededError, ParseError
 
 __all__ = [
     "parse_structure",
@@ -23,6 +26,8 @@ __all__ = [
     "parse_eigenvalue",
     "structure_to_json_dict",
 ]
+
+MAX_DIGITS = 6  # invariants take time and memory linear in the largest block
 
 _TOKEN = re.compile(r"\s*(?:(?P<word>[A-Za-z]+[0-9]*)|(?P<int>[0-9]+)|(?P<punct>[();+]))")
 
@@ -47,6 +52,14 @@ def _tokenize(text: str):
     return tokens
 
 
+def _integer(digits: str) -> int:
+    significant = digits.lstrip("0")
+    if len(significant) > MAX_DIGITS:
+        raise NotationLimitExceededError(f"integer of {len(significant)} digits in "
+                                         f"structure notation (at most {MAX_DIGITS} allowed)")
+    return int(significant or "0")
+
+
 def parse_eigenvalue(text: str) -> EigenvalueLabel:
     """Parse an eigenvalue written as ``inf`` or ``e<digits>``."""
     if text == "inf":
@@ -54,7 +67,7 @@ def parse_eigenvalue(text: str) -> EigenvalueLabel:
     match = re.fullmatch(r"e([0-9]+)", text)
     if match is None:
         raise ParseError(f"bad eigenvalue {text!r}", 0, expected={"'inf'", "'e<digits>'"})
-    return finite(int(match.group(1)))
+    return finite(_integer(match.group(1)))
 
 
 class _Parser:
@@ -98,8 +111,7 @@ class _Parser:
             )
         self.take("word")
         self.take("punct", "(", expected={"'('"})
-        size_text = self.take("int", expected={"integer"})
-        size = int(size_text)
+        size = _integer(self.take("int", expected={"integer"}))
         if value == "J":
             self.take("punct", ";", expected={"';'"})
             eig_kind, eig_text, eig_pos = self.peek()

@@ -64,10 +64,6 @@ __all__ = [
 ]
 
 
-def _label_key(lbl):
-    return lbl.sort_key()
-
-
 @dataclass(frozen=True)
 class RuleInstance:
     """One concrete application of a degeneration move.
@@ -102,7 +98,7 @@ class RuleInstance:
             if self.p < 0 or self.q < 0:
                 raise BadParametersError(f"rule 6 needs p, q >= 0, got p={self.p}, q={self.q}")
             parts = tuple(sorted(((int(s), lbl) for s, lbl in self.parts),
-                                 key=lambda t: (-t[0], _label_key(t[1]))))
+                                 key=lambda t: (-t[0], t[1].sort_key())))
             if not parts or any(s < 1 for s, _ in parts):
                 raise BadParametersError("rule 6 parts must be non-empty with sizes >= 1")
             if any(not isinstance(lbl, EigenvalueLabel) for _, lbl in parts):
@@ -122,8 +118,8 @@ class RuleInstance:
                 raise BadParametersError(f"rule {rid} takes no (p, q)")
 
     def sort_key(self):
-        mu_key = _label_key(self.mu) if self.mu is not None else (-1, -1)
-        parts_key = tuple((s, _label_key(lbl)) for s, lbl in self.parts)
+        mu_key = self.mu.sort_key() if self.mu is not None else (-1, -1)
+        parts_key = tuple((s, lbl.sort_key()) for s, lbl in self.parts)
         return (self.rule_id, self.j, self.k, self.p, self.q, mu_key, parts_key)
 
     def to_json_dict(self) -> dict:
@@ -215,7 +211,7 @@ def _rule6_parts(total: int, existing, fresh):
 
         def rec(gi, used, fresh_used, acc):
             if gi == len(groups):
-                out.add(tuple(sorted(acc, key=lambda t: (-t[0], _label_key(t[1])))))
+                out.add(tuple(sorted(acc, key=lambda t: (-t[0], t[1].sort_key()))))
                 return
             size, count = groups[gi]
             available = [lbl for lbl in existing if lbl not in used]
@@ -233,7 +229,7 @@ def _rule6_parts(total: int, existing, fresh):
                     )
 
         rec(0, frozenset(), 0, [])
-    return sorted(out, key=lambda parts: tuple((s, _label_key(lbl)) for s, lbl in parts))
+    return sorted(out, key=lambda parts: tuple((s, lbl.sort_key()) for s, lbl in parts))
 
 
 def _instances(K: KroneckerStructure, existing, fresh):
@@ -241,7 +237,7 @@ def _instances(K: KroneckerStructure, existing, fresh):
     out = []
     right_values = sorted(set(K.right))
     left_values = sorted(set(K.left))
-    jordan_values = sorted(set(K.jordan), key=lambda t: (_label_key(t[0]), t[1]))
+    jordan_values = list(dict.fromkeys(K.jordan))  # K.jordan is sorted
     for a in right_values:
         for b in right_values:
             if b >= a + 2:
@@ -282,16 +278,15 @@ def applicable_instances(K: KroneckerStructure, label_pool) -> list:
     pool = list(dict.fromkeys(label_pool))
     evs = set(eigenvalues(K))
     if not evs <= set(pool):
-        raise PoolTooSmallError(
-            f"pool must contain every eigenvalue of {K}; missing {sorted(evs - set(pool), key=_label_key)}"
-        )
+        missing = sorted(evs - set(pool), key=EigenvalueLabel.sort_key)
+        raise PoolTooSmallError(f"pool must contain every eigenvalue of {K}; missing {missing}")
     m, n = size_of(K)
     fresh = [lbl for lbl in pool if lbl not in evs and not lbl.is_infinite]
     if len(fresh) < min(m, n):
         raise PoolTooSmallError(
             f"pool needs at least {min(m, n)} fresh finite labels, found {len(fresh)}"
         )
-    existing = sorted(evs, key=_label_key)
+    existing = list(eigenvalues(K))
     if INFINITY in pool and INFINITY not in evs:
         existing.append(INFINITY)
     return _instances(K, existing, fresh)
@@ -344,7 +339,7 @@ def reachable(M: KroneckerStructure, L: KroneckerStructure, prune: bool = True):
     if codimension(M) <= target_codim:
         return None
     m, n = size_of(M)
-    evs = sorted(set(eigenvalues(M)) | set(eigenvalues(L)), key=_label_key)
+    evs = sorted(set(eigenvalues(M)) | set(eigenvalues(L)), key=EigenvalueLabel.sort_key)
     universe = evs + _fresh_reservoir(min(m, n), [evs])
     parents = {M: None}
     queue = deque([M])
@@ -462,7 +457,7 @@ def reachable_structures(M: KroneckerStructure, fresh_labels=None, max_expansion
     ``max_expansions`` bounds both.
     """
     m, n = size_of(M)
-    evs = sorted(eigenvalues(M), key=_label_key)
+    evs = list(eigenvalues(M))
     if fresh_labels is None:
         fresh_labels = _fresh_reservoir(min(m, n), [evs]) + [INFINITY]
     graph = RuleGraph(dict.fromkeys(evs + list(fresh_labels)), max_expansions)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
 from . import rules
-from .closure import degenerates_to, majorization_report, same_orbit
+from .closure import degenerates_to, majorization_conditions, majorization_report, same_orbit
 from .core import (
     INFINITY,
     KroneckerStructure,
@@ -53,9 +53,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_PAIRS = 10_000_000
-
-# Test hook: set to a check id to force that check to report failure.
-_fault_injection = None
 
 
 @dataclass
@@ -131,9 +128,6 @@ class _Tracker:
             if example is not None:
                 example = dict(example)
                 example["violations"] = self.counts[cid]
-            if _fault_injection == cid:
-                passed = False
-                example = {"injected": "fault injected for testing"}
             out.append(CheckResult(check_id=cid, passed=passed, counterexample=example))
         return out
 
@@ -259,17 +253,6 @@ def _pair_budget(nodes, max_pairs):
     return total
 
 
-def _majorization_equalities(L, M) -> bool:
-    if weyr_singular(L, "right") != weyr_singular(M, "right"):
-        return False
-    if weyr_singular(L, "left") != weyr_singular(M, "left"):
-        return False
-    for mu in set(eigenvalues(L)) | set(eigenvalues(M)):
-        if weyr_jordan(L, mu) != weyr_jordan(M, mu):
-            return False
-    return True
-
-
 def _matched_targets(nodes):
     """``label_matchings`` of every node against an eigenvalue set, memoized.
 
@@ -327,7 +310,9 @@ def verify_codimension_monotonicity(
         tracker.record("codim_equality_iff_same_orbit",
                        (cl == cm) == same_orbit(L, M), info)
         if cl == cm:
-            ok = rank_of(L) == rank_of(M) and _majorization_equalities(L, M)
+            ok = rank_of(L) == rank_of(M) and all(
+                lower == upper for _, lower, upper in majorization_conditions(L, M)
+            )
             tracker.record("equality_forces_equal_majorizations", ok, info)
     checks = tracker.results([
         "codim_monotone",

@@ -1,11 +1,12 @@
 """Shared independent oracles and strategies for the test suite.
 
 The oracles here deliberately re-derive results along different routes
-than the library: plain rational Gaussian elimination instead of
-fraction-free elimination, direct block-multiset search instead of
-the budgeted structure enumerator, a fresh breadth-first search per
-source instead of the shared rule graph, and a triple-loop transitive
-reduction instead of the bitset one.
+than the library: counting formulas for the invariants instead of the
+ones a structure computes once and carries, plain rational Gaussian
+elimination instead of fraction-free elimination, direct block-multiset
+search instead of the budgeted structure enumerator, a fresh
+breadth-first search per source instead of the shared rule graph, and a
+triple-loop transitive reduction instead of the bitset one.
 """
 
 import re
@@ -47,6 +48,39 @@ def naive_rank(matrix) -> int:
                 rows[i] = [rows[i][j] - f * rows[rank][j] for j in range(ncols)]
         rank += 1
     return rank
+
+
+def _counting_weyr(sizes, include_zero=False):
+    """Entry i counts the sizes >= i, one pass per index; no trailing zeros."""
+    start = 0 if include_zero else 1
+    seq = [sum(1 for s in sizes if s >= i) for i in range(start, max(sizes, default=0) + 1)]
+    while seq and seq[-1] == 0:
+        seq.pop()
+    return tuple(seq)
+
+
+def reference_invariants(K):
+    """The invariants a structure carries, from its blocks by counting.
+
+    Keys are the fields of ``K._invariants()`` but its hash.  The
+    codimension is the Weyr-characteristic formula summed term by term.
+    """
+    labels = tuple(sorted({lbl for lbl, _ in K.jordan}, key=lambda lbl: lbl.sort_key()))
+    weyr = tuple((mu, _counting_weyr([s for lbl, s in K.jordan if lbl == mu])) for mu in labels)
+    j = sum(s for _, s in K.jordan)
+    m = j + sum(K.right) + sum(k + 1 for k in K.left)
+    n = j + sum(k + 1 for k in K.right) + sum(K.left)
+    r = _counting_weyr(K.right, include_zero=True)
+    ell = _counting_weyr(K.left, include_zero=True)
+    r0 = r[0] if r else 0
+    l0 = ell[0] if ell else 0
+    codim = l0 * n + r0 * m
+    codim -= sum(r[i] * r[i + 1] for i in range(len(r) - 1))
+    codim -= sum(ell[i] * ell[i + 1] for i in range(len(ell) - 1))
+    for _, seq in weyr:
+        codim += sum(w * w for w in seq)
+    return {"size": (m, n), "rank": n - len(K.right), "r": r, "l": ell,
+            "labels": labels, "weyr": weyr, "codim": codim}
 
 
 def bfs_reachable_structures(M, fresh_labels):

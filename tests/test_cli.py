@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -7,6 +8,7 @@ from kcforbits import cli
 from kcforbits import verify as verify_mod
 from kcforbits.cli import main
 from kcforbits.closure import build_closure_graph
+from kcforbits.core import codimension
 from kcforbits.verify import cross_validate_characterizations, enumerate_structures
 
 
@@ -132,7 +134,8 @@ class TestVerify:
         assert code == 64
 
     def test_injected_fault_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setattr(verify_mod, "_fault_injection", "codim_monotone")
+        # negated codimensions fail exactly codim_monotone at 1x1
+        monkeypatch.setattr(verify_mod, "codimension", lambda K: -codimension(K))
         code, out, _ = run(capsys, "verify", "1", "1", "--checks", "dim")
         assert code == 2
         assert "violations found" in out
@@ -203,6 +206,25 @@ class TestErrorChannels:
         assert code == 64
         code, _, _ = run(capsys, "codim")
         assert code == 64
+
+    @pytest.mark.parametrize("text", [
+        "J(" + "9" * 5000 + ";e1)",
+        "L(" + "9" * 5000 + ")",
+        "J(1;e" + "9" * 5000 + ")",
+        "J(99999999999;e1)",
+    ], ids=["jordan-5000-digits", "L-5000-digits", "label-5000-digits", "jordan-11-digits"])
+    def test_oversized_integer_exits_70(self, capsys, text):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "codim", text)
+        assert time.perf_counter() - start < 1
+        assert code == 70
+        assert out == ""
+        assert err.startswith("guard limit: ") and err.count("\n") == 1
+
+    def test_largest_block_answers(self, capsys):
+        code, out, _ = run(capsys, "codim", "J(999999;e1)")
+        assert code == 0
+        assert out == "codim=999999 dim=1999995000003\n"
 
     def test_help_exits_0(self, capsys):
         code, out, _ = run(capsys, "--help")

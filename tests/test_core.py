@@ -1,8 +1,13 @@
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import structures
+from conftest import reference_invariants, structures
 from kcforbits.core import (
     INFINITY,
     EigenvalueLabel,
@@ -15,10 +20,13 @@ from kcforbits.core import (
     rank_of,
     relabel,
     size_of,
+    structure_sort_key,
     weyr_characteristic,
     weyr_jordan,
     weyr_singular,
 )
+from kcforbits.rules import _fresh_reservoir, apply_rule, applicable_instances
+from kcforbits.verify import enumerate_structures
 
 e1, e2, e5, e7 = finite(1), finite(2), finite(5), finite(7)
 
@@ -196,3 +204,58 @@ def test_invariants_stable_under_relabeling(K, perm):
     assert rank_of(moved) == rank_of(K)
     assert codimension(moved) == codimension(K)
     assert canonicalize(moved) == canonicalize(K)
+
+
+def assert_carries_reference(K):
+    expected = reference_invariants(K)
+    carried = K._invariants()._asdict()
+    assert carried.pop("hash_value") == hash(K) == hash(structure_sort_key(K))  # ints only
+    assert carried == expected
+    assert K._invariants() is K._invariants()  # computed once, then carried
+    assert size_of(K) == expected["size"] and codimension(K) == expected["codim"]
+    assert eigenvalues(K) == expected["labels"]
+    assert [weyr_jordan(K, mu) for mu in eigenvalues(K)] == [w for _, w in expected["weyr"]]
+
+
+class TestCarriedInvariants:
+    def test_enumerated_and_their_children_to_4x4(self):
+        for m in range(1, 5):
+            for n in range(1, 5):
+                for K in enumerate_structures(m, n):
+                    assert_carries_reference(K)
+                    evs = list(eigenvalues(K))
+                    pool = evs + _fresh_reservoir(min(m, n), [evs]) + [INFINITY]
+                    for inst in applicable_instances(K, pool):
+                        assert_carries_reference(apply_rule(K, inst))
+
+    @settings(max_examples=300)
+    @given(structures())
+    def test_random_structures(self, K):
+        assert_carries_reference(K)
+
+    @settings(max_examples=200)
+    @given(structures(), st.randoms(use_true_random=False))
+    def test_permuted_input_same_hash(self, K, rnd):
+        parts = [list(K.jordan), list(K.right), list(K.left)]
+        for part in parts:
+            rnd.shuffle(part)
+        again = KroneckerStructure(*parts)
+        assert again == K
+        assert hash(again) == hash(K)
+
+    def test_hash_survives_pickle_from_another_hash_seed(self):
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        code = (
+            "import pickle, sys\n"
+            "from kcforbits.verify import enumerate_structures\n"
+            "structures = enumerate_structures(3, 3)\n"
+            "{hash(K) for K in structures}  # fills the carried hashes\n"
+            "sys.stdout.buffer.write(pickle.dumps(structures))\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             check=True).stdout
+        here = set(enumerate_structures(3, 3))
+        pickled = pickle.loads(out)
+        assert len(pickled) == len(here)
+        assert all(K in here for K in pickled)

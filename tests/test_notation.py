@@ -1,8 +1,9 @@
 import pytest
 
 from kcforbits.core import INFINITY, KroneckerStructure, finite
-from kcforbits.errors import DomainError, ParseError
+from kcforbits.errors import DomainError, NotationLimitExceededError, ParseError
 from kcforbits.notation import (
+    MAX_DIGITS,
     format_structure,
     parse_eigenvalue,
     parse_structure,
@@ -72,6 +73,27 @@ class TestParseErrors:
     def test_missing_semicolon(self):
         with pytest.raises(ParseError):
             parse_structure("J(2,e1)")
+
+
+class TestIntegerLimit:
+    @pytest.mark.parametrize("text", ["J(1234567;e1)", "L(1234567)", "LT(1234567)",
+                                      "J(1;e1234567)"])
+    def test_too_many_digits(self, text):
+        with pytest.raises(NotationLimitExceededError):
+            parse_structure(text)
+
+    def test_eigenvalue_name_alone(self):
+        with pytest.raises(NotationLimitExceededError):
+            parse_eigenvalue("e" + "9" * (MAX_DIGITS + 1))
+
+    def test_leading_zeros_do_not_count(self):
+        zeros = "0" * 5000
+        assert parse_structure(f"J({zeros}2;e{zeros}1) + L({zeros})") == S(
+            jordan=[(e1, 2)], right=[0]
+        )
+
+    def test_largest_allowed(self):
+        assert parse_structure("L(999999)") == S(right=[999999])
 
 
 class TestEigenvalueNames:

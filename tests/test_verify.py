@@ -7,6 +7,7 @@ from kcforbits.core import (
     INFINITY,
     KroneckerStructure,
     canonicalize,
+    codimension,
     eigenvalues,
     finite,
     size_of,
@@ -143,7 +144,8 @@ class TestSuites:
         assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
 
     def test_fault_injection_reports_failure(self, monkeypatch):
-        monkeypatch.setattr(verify_mod, "_fault_injection", "codim_monotone")
+        # negated codimensions break monotonicity but keep every equality
+        monkeypatch.setattr(verify_mod, "codimension", lambda K: -codimension(K))
         report = verify_codimension_monotonicity(1, 1)
         assert not report.passed
         failed = [c for c in report.checks if not c.passed]
@@ -151,7 +153,8 @@ class TestSuites:
 
     def test_counterexample_payload(self, monkeypatch):
         # force a fake mismatch recording to confirm the diagnostic shape
-        monkeypatch.setattr(verify_mod, "_majorization_equalities", lambda L, M: False)
+        monkeypatch.setattr(verify_mod, "majorization_conditions",
+                            lambda L, M: iter([("right", (1,), (0,))]))
         report = verify_codimension_monotonicity(1, 1)
         failing = [c for c in report.checks if c.check_id == "equality_forces_equal_majorizations"]
         assert failing and not failing[0].passed
