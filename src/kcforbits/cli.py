@@ -3,8 +3,10 @@
 Exit codes: 0 success or affirmative answer, 2 verification failure,
 oracle mismatch or violated internal invariant, 3 negative answer to a
 yes/no query, 64 usage errors, 65 structure-notation errors, 70 guard
-limits exceeded.  The pair-check guard of ``verify`` defaults to 10^7
-and can be overridden with the ``KCF_MAX_PAIRS`` environment variable.
+limits exceeded.  One budget, 10^7 by default and overridden with the
+``KCF_MAX_PAIRS`` environment variable, bounds the pair checks and rule
+expansions of ``verify``, the rule expansions of ``path`` and the node
+pairs of ``graph``.
 """
 
 import argparse
@@ -99,7 +101,7 @@ def cmd_closure(args):
 def cmd_path(args):
     M = parse_structure(args.M)
     L = parse_structure(args.L)
-    path = reachable(M, L, prune=not args.no_prune)
+    path = reachable(M, L, prune=not args.no_prune, max_expansions=_max_pairs())
     if path is None:
         if args.json:
             _print_json({"reachable": False, "path": None})
@@ -136,8 +138,13 @@ def cmd_enumerate(args):
 
 
 def cmd_graph(args):
+    max_pairs = _max_pairs()
     nodes = enumerate_structures(args.m, args.n, args.pool,
                                  include_infinity=not args.no_infinity)
+    if len(nodes) ** 2 > max_pairs:
+        raise EnumerationLimitExceededError(
+            f"pair budget {max_pairs} exceeded ({len(nodes)} nodes)"
+        )
     graph = build_closure_graph(nodes)
     if args.dot:
         print(graph.to_dot(), end="")

@@ -8,7 +8,9 @@ Grammar (whitespace insignificant):
     size      := decimal integer   (J needs size >= 1, L/LT need >= 0)
 
 Integers (sizes and eigenvalue ids) longer than ``MAX_DIGITS`` significant
-digits raise :class:`NotationLimitExceededError` before conversion.
+digits raise :class:`NotationLimitExceededError` before conversion, and so
+does a pencil with a dimension above 10**``MAX_DIGITS``, before the
+structure is built.
 
 ``parse_structure`` and ``format_structure`` round-trip on canonical
 structures; the formatter emits Jordan terms first, then L, then LT,
@@ -27,7 +29,7 @@ __all__ = [
     "structure_to_json_dict",
 ]
 
-MAX_DIGITS = 6  # invariants take time and memory linear in the largest block
+MAX_DIGITS = 6  # invariants take time and memory linear in the pencil size
 
 _TOKEN = re.compile(r"\s*(?:(?P<word>[A-Za-z]+[0-9]*)|(?P<int>[0-9]+)|(?P<punct>[();+]))")
 
@@ -99,6 +101,12 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind != "end":
             raise ParseError(f"trailing input {value!r}", pos, expected={"'+'", "end of input"})
+        j = sum(s for _, s in jordan)
+        m = j + sum(right) + sum(k + 1 for k in left)
+        n = j + sum(k + 1 for k in right) + sum(left)
+        if max(m, n) > 10 ** MAX_DIGITS:
+            raise NotationLimitExceededError(f"pencil of size {m}x{n} in structure notation "
+                                             f"(at most 10^{MAX_DIGITS} per dimension allowed)")
         return KroneckerStructure(jordan, right, left)
 
     def term(self, jordan, right, left):

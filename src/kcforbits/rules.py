@@ -5,8 +5,8 @@ pencil size, and every application strictly lowers the orbit codimension.
 A structure M can be turned into a structure L by a finite sequence of
 these moves exactly when L's orbit closure contains M, which is what
 :func:`kcforbits.closure.degenerates_to` decides by majorization; the
-breadth-first search here is the rule-based side of that equivalence and
-deliberately never consults majorizations in its default oracle mode.
+rule search here is the rule-based side of that equivalence and, unless
+asked to prune, deliberately never consults majorizations.
 
 The moves, on block multisets (J_0 is empty and is dropped):
 
@@ -20,14 +20,14 @@ The moves, on block multisets (J_0 is empty and is dropped):
 
 Rules 1-5 preserve the rank; rule 6 raises it by one.
 
-Two searches live here.  :func:`reachable` is the breadth-first path
-finder between two structures.  :class:`RuleGraph` holds every structure
-reachable over one eigenvalue-label universe: each structure is expanded
-once, however many sources reach it, and its descendant set is a
-Python-int bitset over the graph's node indices, so a membership test is
+One search engine lives here.  :class:`RuleGraph` holds the structures
+reached over one eigenvalue-label universe and expands each of them at
+most once, however many sources reach it.  Its descendant sets are
+Python-int bitsets over the graph's node indices, so a membership test is
 one index lookup and one bit test.  :func:`reachable_structures` is one
-source on a fresh graph; the exhaustive verifier shares one graph per
-universe across all of its sources.
+source on a fresh graph, the exhaustive verifier shares one graph per
+universe across all of its sources, and :func:`reachable` is a
+breadth-first path query on a fresh graph.
 """
 
 from collections import deque
@@ -308,66 +308,6 @@ def _search_instances(state: KroneckerStructure, universe) -> list:
     return _instances(state, universe, [])
 
 
-def _check_descent(state, inst, child):
-    if codimension(child) >= codimension(state):
-        raise InvariantViolationError(
-            f"rule {inst.rule_id} took {state} to {child} without lowering the codimension"
-        )
-
-
-def reachable(M: KroneckerStructure, L: KroneckerStructure, prune: bool = True):
-    """A rule sequence turning ``M`` into ``L``, or None when there is none.
-
-    Breadth-first over structures with deduplication, expanding instances
-    in sorted order, so the returned path is deterministic and among the
-    shortest.  Search depth is bounded because every move strictly lowers
-    the codimension (re-checked per expansion).  Rule-6 eigenvalues are
-    drawn from the labels of ``M`` and ``L`` plus a reservoir of min(m, n)
-    reusable fresh labels, which is enough for every transient eigenvalue
-    pattern.
-
-    With ``prune`` the search discards successors that fail the necessary
-    closure condition ``degenerates_to(L, successor)``; without it the
-    search never consults majorizations and serves as the independent
-    oracle for the closure test.
-    """
-    if size_of(M) != size_of(L):
-        raise SizeMismatchError(f"cannot search between sizes {size_of(M)} and {size_of(L)}")
-    if M == L:
-        return []
-    target_codim = codimension(L)
-    if codimension(M) <= target_codim:
-        return None
-    m, n = size_of(M)
-    evs = sorted(set(eigenvalues(M)) | set(eigenvalues(L)), key=EigenvalueLabel.sort_key)
-    universe = evs + _fresh_reservoir(min(m, n), [evs])
-    parents = {M: None}
-    queue = deque([M])
-    while queue:
-        state = queue.popleft()
-        if codimension(state) <= target_codim:
-            continue
-        for inst in _search_instances(state, universe):
-            child = apply_rule(state, inst)
-            _check_descent(state, inst, child)
-            if child in parents:
-                continue
-            if prune and not degenerates_to(L, child):
-                continue
-            parents[child] = (state, inst)
-            if child == L:
-                path = []
-                cur = child
-                while parents[cur] is not None:
-                    cur, inst_used = parents[cur]
-                    path.append(inst_used)
-                path.reverse()
-                return path
-            if codimension(child) > target_codim:
-                queue.append(child)
-    return None
-
-
 class RuleGraph:
     """Prune-free rule reachability over one eigenvalue-label universe.
 
@@ -411,7 +351,7 @@ class RuleGraph:
                 stack.pop()
                 continue
             if children[i] is None:
-                children[i] = self._expand(i, M)
+                children[i] = list(self.successors(i, M))
             pending = [k for k in children[i] if not desc[k]]
             if pending:
                 stack.extend(pending)
@@ -429,7 +369,11 @@ class RuleGraph:
             self.nodes[i] for i, bit in enumerate(reversed(bin(bits)[2:])) if bit == "1"
         )
 
-    def _expand(self, i, source):
+    def successors(self, i, source) -> dict:
+        """``{child index: first instance giving it}`` of node ``i``, in
+        sorted-instance order.  One expansion against ``max_expansions``
+        (``source`` names the search); every move must lower the codimension.
+        """
         if self.max_expansions is not None and self.expansions >= self.max_expansions:
             raise SearchBudgetExceededError(
                 f"reachability from {source} exceeded {self.max_expansions} expansions"
@@ -439,9 +383,63 @@ class RuleGraph:
         kids = {}
         for inst in _search_instances(state, self.universe):
             child = apply_rule(state, inst)
-            _check_descent(state, inst, child)
-            kids[self.node(child)] = None
-        return list(kids)
+            if codimension(child) >= codimension(state):
+                raise InvariantViolationError(
+                    f"rule {inst.rule_id} took {state} to {child} without lowering the codimension"
+                )
+            kids.setdefault(self.node(child), inst)
+        return kids
+
+
+def reachable(M: KroneckerStructure, L: KroneckerStructure, prune: bool = True,
+              max_expansions=None):
+    """A rule sequence turning ``M`` into ``L``, or None when there is none.
+
+    Breadth-first over a fresh :class:`RuleGraph` in sorted-instance order,
+    so the path is deterministic and among the shortest; only children
+    above ``L`` in codimension are expanded.  Rule-6 eigenvalues are drawn
+    from the labels of ``M`` and ``L`` plus a reservoir of min(m, n)
+    reusable fresh labels, enough for every transient eigenvalue pattern.
+    ``max_expansions`` bounds the structures expanded.
+
+    With ``prune`` the search discards children that fail the necessary
+    closure condition ``degenerates_to(L, child)``, tested once per
+    structure; without it the search never consults majorizations and
+    serves as the independent oracle for the closure test.
+    """
+    if size_of(M) != size_of(L):
+        raise SizeMismatchError(f"cannot search between sizes {size_of(M)} and {size_of(L)}")
+    if M == L:
+        return []
+    target_codim = codimension(L)
+    if codimension(M) <= target_codim:
+        return None
+    m, n = size_of(M)
+    evs = sorted(set(eigenvalues(M)) | set(eigenvalues(L)), key=EigenvalueLabel.sort_key)
+    graph = RuleGraph(evs + _fresh_reservoir(min(m, n), [evs]), max_expansions)
+    root, goal = graph.node(M), graph.node(L)
+    parents = {root: None}
+    rejected = set()
+    queue = deque([root])
+    while queue:
+        i = queue.popleft()
+        for k, inst in graph.successors(i, M).items():
+            if k in parents or k in rejected:
+                continue
+            child = graph.nodes[k]
+            if prune and not degenerates_to(L, child):
+                rejected.add(k)
+                continue
+            parents[k] = (i, inst)
+            if k == goal:
+                path = []
+                while parents[k] is not None:
+                    k, inst = parents[k]
+                    path.append(inst)
+                return path[::-1]
+            if codimension(child) > target_codim:
+                queue.append(k)
+    return None
 
 
 def reachable_structures(M: KroneckerStructure, fresh_labels=None, max_expansions=None):

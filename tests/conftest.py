@@ -5,8 +5,8 @@ than the library: counting formulas for the invariants instead of the
 ones a structure computes once and carries, plain rational Gaussian
 elimination instead of fraction-free elimination, direct block-multiset
 search instead of the budgeted structure enumerator, a fresh
-breadth-first search per source instead of the shared rule graph, and a
-triple-loop transitive reduction instead of the bitset one.
+breadth-first search per source or path question instead of the rule
+graph, and a triple-loop transitive reduction instead of the bitset one.
 """
 
 import re
@@ -99,6 +99,42 @@ def bfs_reachable_structures(M, fresh_labels):
                 visited.add(child)
                 queue.append(child)
     return frozenset(visited)
+
+
+def bfs_reachable_path(M, L, prune=True):
+    """A shortest rule sequence from ``M`` to ``L``, or None, by a
+    breadth-first search over structures in sorted-instance order that
+    re-tests ``degenerates_to`` each time it meets a pruned structure."""
+    if M == L:
+        return []
+    target_codim = codimension(L)
+    if codimension(M) <= target_codim:
+        return None
+    m, n = size_of(M)
+    evs = sorted(set(eigenvalues(M)) | set(eigenvalues(L)), key=lambda lbl: lbl.sort_key())
+    universe = evs + rules._fresh_reservoir(min(m, n), [evs])
+    parents = {M: None}
+    queue = deque([M])
+    while queue:
+        state = queue.popleft()
+        if codimension(state) <= target_codim:
+            continue
+        for inst in rules._search_instances(state, universe):
+            child = rules.apply_rule(state, inst)
+            assert codimension(child) < codimension(state)
+            if child in parents:
+                continue
+            if prune and not rules.degenerates_to(L, child):
+                continue
+            parents[child] = (state, inst)
+            if child == L:
+                path = []
+                while parents[child] is not None:
+                    child, inst = parents[child]
+                    path.append(inst)
+                return path[::-1]
+            queue.append(child)
+    return None
 
 
 def naive_hasse_edges(nodes):

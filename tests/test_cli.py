@@ -73,6 +73,18 @@ class TestPath:
         code, out, _ = run(capsys, "path", "L(0) + LT(0)", "J(1;e1)", "--no-prune")
         assert code == 0
 
+    @pytest.mark.parametrize("flags", [(), ("--no-prune",)])
+    def test_expansion_budget_exits_70(self, capsys, monkeypatch, flags):
+        # the path takes two steps, so the search expands two structures
+        pair = ("J(1;e1) + J(1;e1) + J(1;e1)", "J(3;e1)")
+        monkeypatch.setenv("KCF_MAX_PAIRS", "2")
+        assert run(capsys, "path", *pair, *flags)[0] == 0
+        monkeypatch.setenv("KCF_MAX_PAIRS", "1")
+        code, out, err = run(capsys, "path", *pair, *flags)
+        assert code == 70
+        assert out == ""
+        assert err.startswith("guard limit: reachability from ") and err.count("\n") == 1
+
 
 class TestEnumerate:
     def test_text(self, capsys):
@@ -114,6 +126,24 @@ class TestGraph:
         code, out, _ = run(capsys, "graph", "1", "1")
         assert code == 0
         assert "->" in out
+
+    def test_pair_budget_exits_70(self, capsys, monkeypatch):
+        # 11 nodes at 2x2, so the graph needs 121 node pairs
+        monkeypatch.setenv("KCF_MAX_PAIRS", "121")
+        assert run(capsys, "graph", "2", "2", "--json")[0] == 0
+        monkeypatch.setenv("KCF_MAX_PAIRS", "120")
+        code, out, err = run(capsys, "graph", "2", "2", "--json")
+        assert code == 70
+        assert out == ""
+        assert err == "guard limit: pair budget 120 exceeded (11 nodes)\n"
+
+    def test_default_budget_refuses_10x10(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "graph", "10", "10")
+        assert time.perf_counter() - start < 30
+        assert code == 70
+        assert out == ""
+        assert err == "guard limit: pair budget 10000000 exceeded (15455 nodes)\n"
 
 
 class TestVerify:
@@ -220,6 +250,14 @@ class TestErrorChannels:
         assert code == 70
         assert out == ""
         assert err.startswith("guard limit: ") and err.count("\n") == 1
+
+    def test_oversized_pencil_exits_70(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "codim", "J(999999;e1) + J(999999;e2)")
+        assert time.perf_counter() - start < 1
+        assert code == 70
+        assert out == ""
+        assert err.startswith("guard limit: pencil of size 1999998x1999998") and err.count("\n") == 1
 
     def test_largest_block_answers(self, capsys):
         code, out, _ = run(capsys, "codim", "J(999999;e1)")

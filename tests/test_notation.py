@@ -95,6 +95,13 @@ class TestIntegerLimit:
     def test_largest_allowed(self):
         assert parse_structure("L(999999)") == S(right=[999999])
 
+    def test_pencil_size_bound(self):
+        # both dimensions of L(999999) + LT(0) are 10^6, the largest allowed
+        assert parse_structure("L(999999) + LT(0)") == S(right=[999999], left=[0])
+        for text in ("L(999999) + L(0)", "J(1;e1) + LT(999999)", "J(500000;e1) + J(500001;e2)"):
+            with pytest.raises(NotationLimitExceededError):
+                parse_structure(text)
+
 
 class TestEigenvalueNames:
     def test_round_trip(self):

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from conftest import bfs_reachable_structures
+from conftest import bfs_reachable_path, bfs_reachable_structures
 from kcforbits import rules
 from kcforbits.closure import degenerates_to
 from kcforbits.core import (
@@ -204,6 +204,29 @@ class TestReachable:
             state = apply_rule(state, inst)
         assert state == L
 
+    def test_budget(self):
+        M = S(jordan=[(e1, 1), (e1, 1), (e1, 1)])
+        L = S(jordan=[(e1, 3)])
+        assert len(reachable(M, L, max_expansions=2)) == 2
+        with pytest.raises(SearchBudgetExceededError):
+            reachable(M, L, max_expansions=1)
+
+    def test_pruned_search_tests_each_structure_once(self, monkeypatch):
+        M = S(right=[0, 0, 0], left=[0, 0, 0])  # zero 3x3
+        L = S(jordan=[(e1, 3)])
+        calls = []
+
+        def counting(target, K):
+            calls.append(K)
+            return degenerates_to(target, K)
+
+        monkeypatch.setattr(rules, "degenerates_to", counting)
+        expected = bfs_reachable_path(M, L)
+        assert len(calls) > len(set(calls))  # the oracle re-tests structures
+        calls.clear()
+        assert reachable(M, L) == expected
+        assert len(calls) == len(set(calls))
+
 
 def _all_pairs(m, n):
     nodes = enumerate_structures(m, n)
@@ -211,6 +234,23 @@ def _all_pairs(m, n):
         for L0 in nodes:
             for L in label_matchings(L0, eigenvalues(M)):
                 yield M, L
+
+
+@pytest.mark.parametrize("prune", [True, False])
+def test_search_expands_only_structures_above_target(monkeypatch, prune):
+    expanded = []
+    search = rules._search_instances
+
+    def recording(state, universe):
+        expanded.append(state)
+        return search(state, universe)
+
+    monkeypatch.setattr(rules, "_search_instances", recording)
+    for M, L in _all_pairs(3, 3):
+        expanded.clear()
+        reachable(M, L, prune=prune)
+        assert len(expanded) == len(set(expanded))
+        assert all(codimension(K) > codimension(L) for K in expanded), (str(M), str(L))
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 2)])
@@ -221,6 +261,13 @@ def test_prune_modes_agree_exhaustively(m, n):
         assert (pruned is None) == (free is None), (str(M), str(L))
         if pruned is not None:
             assert len(pruned) == len(free)  # both breadth-first shortest
+
+
+@pytest.mark.parametrize("prune", [True, False])
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 4) for n in range(1, 4)])
+def test_paths_match_bfs_oracle(m, n, prune):
+    for M, L in _all_pairs(m, n):
+        assert reachable(M, L, prune=prune) == bfs_reachable_path(M, L, prune), (str(M), str(L))
 
 
 @pytest.mark.parametrize("m,n", [(1, 3), (3, 1), (2, 3), (3, 2), (3, 3)])
