@@ -3,7 +3,7 @@
 Realizing a structure as a concrete pencil A + lambda*B with rational
 entries gives an independent way to compute the orbit codimension: take
 the derivative of the group action (X, Y) |-> (X*A + A*Y, X*B + B*Y) and
-compute its corank by exact fraction-free elimination.  No rounding is
+compute its corank by exact integer elimination.  No rounding is
 involved anywhere, so agreement with the symbolic formula is exact.
 """
 

@@ -5,8 +5,9 @@ oracle mismatch or violated internal invariant, 3 negative answer to a
 yes/no query, 64 usage errors, 65 structure-notation errors, 70 guard
 limits exceeded.  One budget, 10^7 by default and overridden with the
 ``KCF_MAX_PAIRS`` environment variable, bounds the pair checks and rule
-expansions of ``verify``, the rule expansions of ``path`` and the node
-pairs of ``graph``.
+expansions of ``verify``, the rule expansions of ``path``, the node
+pairs of ``graph`` and the matrix cells that ``realize`` and
+``tangent-codim`` would allocate.
 """
 
 import argparse
@@ -16,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .closure import build_closure_graph, majorization_report
-from .core import codimension, orbit_dimension
+from .core import codimension, orbit_dimension, size_of
 from .errors import (
     EnumerationLimitExceededError,
     InvariantViolationError,
@@ -68,6 +69,15 @@ def _max_pairs():
     except ValueError:
         raise _UsageError(f"KCF_MAX_PAIRS must be a non-negative integer, got {raw!r}") from None
     return value
+
+
+def _check_cells(cells, what):
+    """Refuse before allocating a matrix of more cells than the budget."""
+    max_pairs = _max_pairs()
+    if cells > max_pairs:
+        raise EnumerationLimitExceededError(
+            f"cell budget {max_pairs} exceeded ({what} needs {cells} cells)"
+        )
 
 
 def cmd_codim(args):
@@ -218,6 +228,8 @@ def _parse_assignment(text):
 
 def cmd_realize(args):
     K = parse_structure(args.structure)
+    m, n = size_of(K)
+    _check_cells(2 * m * n, f"a {m}x{n} pencil")
     assignment = _parse_assignment(args.assign) if args.assign else None
     pencil = realize(K, assignment)
     if args.json:
@@ -233,6 +245,8 @@ def cmd_realize(args):
 
 def cmd_tangent_codim(args):
     K = parse_structure(args.structure)
+    m, n = size_of(K)
+    _check_cells(2 * m * n * (m * m + n * n), f"the tangent matrix of a {m}x{n} pencil")
     formula = codimension(K)
     oracle = tangent_codimension(realize(K))
     print(f"formula codim = {formula}")

@@ -3,9 +3,13 @@
 The point of this module is an independent, numeric route to the orbit
 codimension: realize a structure as an explicit pencil A + lambda*B with
 rational entries, then compute the corank of the derivative of the group
-action (X, Y) |-> (X*A + A*Y, X*B + B*Y) by exact fraction-free rank
-computation.  Exhaustive agreement of that corank with the symbolic
-Weyr-characteristic formula is the main correctness evidence for both.
+action (X, Y) |-> (X*A + A*Y, X*B + B*Y) by exact rank computation.
+Every rank is taken by integer elimination on Python ints: a pencil is
+scaled once by the common denominator of its entries, which keeps the
+rank of its tangent map and of each A + t*B, and no Fraction is formed
+inside the elimination.  Exhaustive agreement of that corank with the
+symbolic Weyr-characteristic formula is the main correctness evidence for
+both.
 
 Block conventions (any convention with the right elementary divisors
 works; this one keeps entries in {-mu, 0, 1}):
@@ -149,46 +153,75 @@ def realize(K: KroneckerStructure, assignment: dict | None = None) -> RationalPe
     return RationalPencil(m=m, n=n, a=a, b=b)
 
 
-def _integer_rows(matrix):
-    """Copy ``matrix`` as integer rows; per-row scaling keeps the rank."""
-    rows = []
-    for row in matrix:
-        fracs = [Fraction(x) for x in row]
-        scale = math.lcm(*(x.denominator for x in fracs)) if fracs else 1
-        rows.append([int(x * scale) for x in fracs])
-    return rows
+def _integer_entries(row) -> dict:
+    """The nonzero entries of ``row`` by column, as ints: int entries as
+    they are, any others scaled once by their common denominator."""
+    entries = {j: x for j, x in enumerate(row) if x}
+    if not all(type(x) is int for x in entries.values()):
+        fracs = {j: Fraction(x) for j, x in entries.items()}
+        scale = math.lcm(*(x.denominator for x in fracs.values()))
+        entries = {j: x.numerator * (scale // x.denominator) for j, x in fracs.items()}
+    return entries
+
+
+def _integer_pencil(P: RationalPencil):
+    """Integer matrices (d*A, d*B) and the common denominator d of ``P``."""
+    d = math.lcm(*(x.denominator for mat in (P.a, P.b) for row in mat for x in row))
+
+    def scaled(mat):
+        return [[x.numerator * (d // x.denominator) for x in row] for row in mat]
+
+    return scaled(P.a), scaled(P.b), d
 
 
 def exact_rank(matrix) -> int:
-    """Rank over the rationals, by fraction-free (Bareiss) elimination.
+    """Rank over the rationals, by integer elimination on sparse rows.
 
-    Accepts any sequence of equal-length rows of ints or Fractions.
-    Pivots on the first row with a nonzero entry in the current column;
-    all intermediate values stay integers, with every division exact.
+    Accepts any sequence of equal-length rows of ints or Fractions; a
+    ragged matrix raises ``ValueError``.  Each row is scaled once to
+    integers and kept as a map from column to nonzero entry.  In each
+    column, the row R0 whose entry p there is least in absolute value
+    becomes the pivot row; every other row R with a nonzero entry f in
+    that column becomes (p/g)*R - (f/g)*R0, g = gcd(p, f), divided by the
+    gcd of its own entries.  Rows with a zero in the pivot column are not
+    touched, so the zeros of a sparse matrix cost nothing, and the row
+    gcds keep the entries small.
     """
-    rows = _integer_rows(matrix)
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
+    ncols = len(matrix[0]) if len(matrix) else 0
+    if any(len(row) != ncols for row in matrix):
+        raise ValueError("exact_rank needs rows of equal length")
+    rows = [entries for entries in map(_integer_entries, matrix) if entries]
     rank = 0
-    prev = 1
-    for c in range(nc):
-        if rank == nr:
+    for c in range(ncols):
+        if not rows:
             break
-        pivot_row = next((i for i in range(rank, nr) if rows[i][c] != 0), None)
-        if pivot_row is None:
+        hit = [r for r in rows if c in r]
+        if not hit:
             continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][c]
-        for i in range(rank + 1, nr):
-            factor = rows[i][c]
-            for jj in range(c + 1, nc):
-                num = rows[i][jj] * pivot - factor * rows[rank][jj]
-                quot, rem = divmod(num, prev)
-                if rem:
-                    raise ArithmeticError("fraction-free elimination lost exactness")
-                rows[i][jj] = quot
-            rows[i][c] = 0
-        prev = pivot
+        rows = [r for r in rows if c not in r]
+        pivot_row = min(hit, key=lambda r: abs(r[c]))
+        pivot = pivot_row.pop(c)
+        for r in hit:
+            if r is pivot_row:
+                continue
+            factor = r.pop(c)
+            g = math.gcd(pivot, factor)
+            p, f = pivot // g, factor // g
+            if p != 1:
+                for j in r:
+                    r[j] *= p
+            for j, x in pivot_row.items():
+                y = r.get(j, 0) - f * x
+                if y:
+                    r[j] = y
+                else:
+                    del r[j]
+            if r:
+                g = math.gcd(*r.values())
+                if g != 1:
+                    for j in r:
+                        r[j] //= g
+                rows.append(r)
         rank += 1
     return rank
 
@@ -197,16 +230,18 @@ def tangent_codimension(P: RationalPencil) -> int:
     """Codimension of the orbit of ``P``: 2mn minus the rank of the
     derivative (X, Y) |-> (X*A + A*Y, X*B + B*Y) of the group action.
 
-    The derivative is assembled as a 2mn x (m^2 + n^2) rational matrix
-    and its rank computed exactly.
+    The derivative is assembled as a 2mn x (m^2 + n^2) integer matrix
+    from d*A and d*B, d the common denominator of the pencil; scaling the
+    pencil scales the derivative and keeps its rank.
     """
     m, n = P.m, P.n
+    a, b, _ = _integer_pencil(P)
     cols = m * m + n * n
     rows = []
-    for s in (P.a, P.b):
+    for s in (a, b):
         for i in range(m):
             for j in range(n):
-                row = [Fraction(0)] * cols
+                row = [0] * cols
                 for t in range(m):
                     row[i * m + t] = s[t][j]
                 for t in range(n):
@@ -221,15 +256,16 @@ def random_equivalence(P: RationalPencil, seed: int, num_ops: int | None = None)
     Applies ``num_ops`` elementary row and column operations (default
     2*(m+n)) with small integer parameters to A and B simultaneously;
     each operation is invertible by construction, so the result is
-    Q_left * P * Q_right for invertible rational Q_left, Q_right.
-    ``num_ops=0`` returns ``P`` itself.
+    Q_left * P * Q_right for invertible rational Q_left, Q_right.  The
+    operations run on the integer matrices d*A and d*B, d the common
+    denominator of ``P``, and the result is divided by d once at the end.
+    ``num_ops=0`` returns a pencil equal to ``P``.
     """
     rng = random.Random(seed)
     m, n = P.m, P.n
     if num_ops is None:
         num_ops = 2 * (m + n)
-    a = [list(row) for row in P.a]
-    b = [list(row) for row in P.b]
+    a, b, d = _integer_pencil(P)
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
@@ -274,29 +310,42 @@ def random_equivalence(P: RationalPencil, seed: int, num_ops: int | None = None)
             break
         op = rng.choice(choices)
         if op == "row_scale":
-            row_scale(Fraction(rng.choice(nonzero)), rng.randrange(m))
+            row_scale(rng.choice(nonzero), rng.randrange(m))
         elif op == "row_swap":
             i, j = rng.sample(range(m), 2)
             row_swap(i, j)
         elif op == "row_axpy":
             i, j = rng.sample(range(m), 2)
-            row_axpy(Fraction(rng.choice(small)), i, j)
+            row_axpy(rng.choice(small), i, j)
         elif op == "col_scale":
-            col_scale(Fraction(rng.choice(nonzero)), rng.randrange(n))
+            col_scale(rng.choice(nonzero), rng.randrange(n))
         elif op == "col_swap":
             i, j = rng.sample(range(n), 2)
             col_swap(i, j)
         else:
             i, j = rng.sample(range(n), 2)
-            col_axpy(Fraction(rng.choice(small)), i, j)
+            col_axpy(rng.choice(small), i, j)
+    if d != 1:
+        a, b = ([[Fraction(x, d) for x in row] for row in mat] for mat in (a, b))
     return RationalPencil(m=m, n=n, a=a, b=b)
 
 
-def normal_rank(P: RationalPencil, sample_points=(0, 1, 2, 3, 5, 7)) -> int:
+def normal_rank(P: RationalPencil, sample_points=None) -> int:
     """Rank of A + t*B over the rational functions in t.
 
-    Sampled as the maximum rank over the given evaluation points; the
-    rank drops only at the (finitely many) eigenvalues, so any list of
-    more than min(m, n) distinct points is enough.
+    Sampled as the maximum rank over the given evaluation points, by
+    default 0, 1, ..., min(m, n).  The rank drops only at the eigenvalues,
+    and there are at most min(m, n) of them, so any min(m, n) + 1
+    distinct points are enough.  At t = p/q the rank is that of the
+    integer matrix q*(d*A) + p*(d*B), d the common denominator of ``P``.
     """
-    return max(exact_rank(P.at(Fraction(t))) for t in sample_points)
+    if sample_points is None:
+        sample_points = range(min(P.m, P.n) + 1)
+    a, b, _ = _integer_pencil(P)
+    ranks = []
+    for t in sample_points:
+        p, q = Fraction(t).as_integer_ratio()
+        ranks.append(exact_rank([
+            [q * x + p * y for x, y in zip(row_a, row_b)] for row_a, row_b in zip(a, b)
+        ]))
+    return max(ranks)

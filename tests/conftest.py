@@ -3,15 +3,21 @@
 The oracles here deliberately re-derive results along different routes
 than the library: counting formulas for the invariants instead of the
 ones a structure computes once and carries, plain rational Gaussian
-elimination instead of fraction-free elimination, direct block-multiset
+elimination and dense Bareiss elimination instead of sparse integer
+elimination, Fraction-valued pencils and tangent matrices instead of
+integer ones, the Demmel-Edelman sum over pairs of blocks instead of the
+Weyr-characteristic codimension formula, direct block-multiset
 search instead of the budgeted structure enumerator, a fresh
 breadth-first search per source or path question instead of the rule
 graph, and a triple-loop transitive reduction instead of the bitset one.
 """
 
+import math
+import random
 import re
 from collections import deque
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import strategies as st
 
@@ -26,6 +32,7 @@ from kcforbits.core import (
     finite,
     size_of,
 )
+from kcforbits.pencils import RationalPencil
 
 
 def naive_rank(matrix) -> int:
@@ -48,6 +55,146 @@ def naive_rank(matrix) -> int:
                 rows[i] = [rows[i][j] - f * rows[rank][j] for j in range(ncols)]
         rank += 1
     return rank
+
+
+def bareiss_rank(matrix) -> int:
+    """Rank by dense fraction-free (Bareiss) elimination: each row scaled
+    to integers by its own lcm, every division by the previous pivot
+    checked to be exact."""
+    rows = []
+    for row in matrix:
+        fracs = [Fraction(x) for x in row]
+        scale = math.lcm(*(x.denominator for x in fracs)) if fracs else 1
+        rows.append([int(x * scale) for x in fracs])
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    rank = 0
+    prev = 1
+    for c in range(nc):
+        if rank == nr:
+            break
+        pivot_row = next((i for i in range(rank, nr) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        pivot = rows[rank][c]
+        for i in range(rank + 1, nr):
+            factor = rows[i][c]
+            for jj in range(c + 1, nc):
+                num = rows[i][jj] * pivot - factor * rows[rank][jj]
+                quot, rem = divmod(num, prev)
+                if rem:
+                    raise ArithmeticError("fraction-free elimination lost exactness")
+                rows[i][jj] = quot
+            rows[i][c] = 0
+        prev = pivot
+        rank += 1
+    return rank
+
+
+def fraction_tangent_matrix(P):
+    """The 2mn x (m^2 + n^2) matrix of (X, Y) |-> (X*A + A*Y, X*B + B*Y),
+    with Fraction entries taken from ``P`` as it is."""
+    m, n = P.m, P.n
+    cols = m * m + n * n
+    rows = []
+    for s in (P.a, P.b):
+        for i in range(m):
+            for j in range(n):
+                row = [Fraction(0)] * cols
+                for t in range(m):
+                    row[i * m + t] = s[t][j]
+                for t in range(n):
+                    row[m * m + t * n + j] += s[i][t]
+                rows.append(row)
+    return rows
+
+
+def dense_tangent_codimension(P):
+    """Orbit codimension of ``P`` from its Fraction tangent matrix, by Bareiss."""
+    return 2 * P.m * P.n - bareiss_rank(fraction_tangent_matrix(P))
+
+
+def fraction_random_equivalence(P, seed, num_ops=None):
+    """``pencils.random_equivalence`` on Fraction matrices: the same stream
+    of ``random.Random(seed)`` operations, each applied to Fractions."""
+    rng = random.Random(seed)
+    m, n = P.m, P.n
+    if num_ops is None:
+        num_ops = 2 * (m + n)
+    a = [list(row) for row in P.a]
+    b = [list(row) for row in P.b]
+    nonzero = (-3, -2, -1, 2, 3)
+    small = (-3, -2, -1, 1, 2, 3)
+    for _ in range(num_ops):
+        choices = []
+        if m >= 1:
+            choices.append("row_scale")
+        if m >= 2:
+            choices += ["row_swap", "row_axpy"]
+        if n >= 1:
+            choices.append("col_scale")
+        if n >= 2:
+            choices += ["col_swap", "col_axpy"]
+        if not choices:
+            break
+        op = rng.choice(choices)
+        if op == "row_scale":
+            c, i = Fraction(rng.choice(nonzero)), rng.randrange(m)
+            for mat in (a, b):
+                mat[i] = [c * x for x in mat[i]]
+        elif op == "row_swap":
+            i, j = rng.sample(range(m), 2)
+            a[i], a[j] = a[j], a[i]
+            b[i], b[j] = b[j], b[i]
+        elif op == "row_axpy":
+            i, j = rng.sample(range(m), 2)
+            c = Fraction(rng.choice(small))
+            for mat in (a, b):
+                mat[j] = [mat[j][t] + c * mat[i][t] for t in range(n)]
+        elif op == "col_scale":
+            c, i = Fraction(rng.choice(nonzero)), rng.randrange(n)
+            for mat in (a, b):
+                for row in mat:
+                    row[i] *= c
+        elif op == "col_swap":
+            i, j = rng.sample(range(n), 2)
+            for mat in (a, b):
+                for row in mat:
+                    row[i], row[j] = row[j], row[i]
+        else:
+            i, j = rng.sample(range(n), 2)
+            c = Fraction(rng.choice(small))
+            for mat in (a, b):
+                for row in mat:
+                    row[j] += c * row[i]
+    return RationalPencil(m=m, n=n, a=a, b=b)
+
+
+def pairwise_codimension(K):
+    """Orbit codimension as the Demmel-Edelman sum over pairs of blocks.
+
+    Each unordered pair of blocks adds: 2*min(a, b) for two Jordan blocks
+    at one eigenvalue, and 0 at two different ones; |e - f| - 1 for two
+    L blocks of unequal sizes e, f, 0 for equal ones, and the same for two
+    LT blocks; e + h + 2 for L(e) with LT(h); k for a singular block with
+    J(k).  Each Jordan block J(a) adds a for itself.
+    """
+    blocks = ([("J", lbl, s) for lbl, s in K.jordan]
+              + [("L", None, k) for k in K.right]
+              + [("LT", None, k) for k in K.left])
+    total = sum(s for _, s in K.jordan)
+    for (kind1, lbl1, s1), (kind2, lbl2, s2) in combinations(blocks, 2):
+        kinds = {kind1, kind2}
+        if kinds == {"J"}:
+            total += 2 * min(s1, s2) if lbl1 == lbl2 else 0
+        elif len(kinds) == 1:
+            total += abs(s1 - s2) - 1 if s1 != s2 else 0
+        elif kinds == {"L", "LT"}:
+            total += s1 + s2 + 2
+        else:
+            total += s1 if kind1 == "J" else s2
+    return total
 
 
 def _counting_weyr(sizes, include_zero=False):

@@ -212,6 +212,16 @@ class TestRealize:
         code, _, err = run(capsys, "realize", "J(1;e1)", "--assign", "e1")
         assert code == 64
 
+    def test_cell_budget_exits_70(self, capsys, monkeypatch):
+        # a 2x3 pencil has 2*2*3 = 12 cells in A and B
+        monkeypatch.setenv("KCF_MAX_PAIRS", "12")
+        assert run(capsys, "realize", "J(1;e1) + L(1)")[0] == 0
+        monkeypatch.setenv("KCF_MAX_PAIRS", "11")
+        code, out, err = run(capsys, "realize", "J(1;e1) + L(1)")
+        assert code == 70
+        assert out == ""
+        assert err.startswith("guard limit: cell budget 11 exceeded") and err.count("\n") == 1
+
 
 class TestTangentCodim:
     def test_agreement(self, capsys):
@@ -219,6 +229,16 @@ class TestTangentCodim:
         assert code == 0
         assert "formula codim = 5" in out
         assert "tangent codim = 5" in out
+
+    def test_cell_budget_exits_70(self, capsys, monkeypatch):
+        # the tangent matrix of a 2x3 pencil is 12 x (4 + 9): 156 cells
+        monkeypatch.setenv("KCF_MAX_PAIRS", "156")
+        assert run(capsys, "tangent-codim", "J(1;e1) + L(1)")[0] == 0
+        monkeypatch.setenv("KCF_MAX_PAIRS", "155")
+        code, out, err = run(capsys, "tangent-codim", "J(1;e1) + L(1)")
+        assert code == 70
+        assert out == ""
+        assert err.startswith("guard limit: cell budget 155 exceeded") and err.count("\n") == 1
 
 
 class TestErrorChannels:
@@ -258,6 +278,15 @@ class TestErrorChannels:
         assert code == 70
         assert out == ""
         assert err.startswith("guard limit: pencil of size 1999998x1999998") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["realize", "tangent-codim"])
+    def test_large_legal_pencil_exits_70(self, capsys, command):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "L(999999)")
+        assert time.perf_counter() - start < 1
+        assert code == 70
+        assert out == ""
+        assert err.startswith("guard limit: cell budget 10000000 exceeded") and err.count("\n") == 1
 
     def test_largest_block_answers(self, capsys):
         code, out, _ = run(capsys, "codim", "J(999999;e1)")

@@ -1,9 +1,18 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import naive_rank
+from conftest import (
+    bareiss_rank,
+    dense_tangent_codimension,
+    fraction_random_equivalence,
+    naive_rank,
+    pairwise_codimension,
+)
 from kcforbits import pencils
 from kcforbits.core import (
     INFINITY,
@@ -29,6 +38,26 @@ from kcforbits.pencils import (
 from kcforbits.verify import enumerate_structures
 
 e1, e2 = finite(1), finite(2)
+
+
+@st.composite
+def matrices(draw):
+    """Int, Fraction or mixed matrices, tall or wide, with zero rows and
+    rows that combine earlier rows, entries up to 10^6 in size."""
+    bound = draw(st.sampled_from((3, 1000, 10**6)))
+    ints = st.integers(-bound, bound)
+    fracs = st.fractions(-bound, bound, max_denominator=draw(st.sampled_from((2, 12, 1000))))
+    entry = draw(st.sampled_from((ints, fracs, ints | fracs)))
+    entry = st.just(0) | entry if draw(st.booleans()) else entry
+    cols = draw(st.integers(1, 8))
+    mat = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=8))
+    for _ in range(draw(st.integers(0, 2))):
+        mat.append([0] * cols)
+    if mat:
+        for c1, c2 in draw(st.lists(st.tuples(ints, ints), max_size=3)):
+            i, j = draw(st.integers(0, len(mat) - 1)), draw(st.integers(0, len(mat) - 1))
+            mat.append([c1 * x + c2 * y for x, y in zip(mat[i], mat[j])])
+    return draw(st.permutations(mat))
 
 
 def S(jordan=(), right=(), left=()):
@@ -119,6 +148,26 @@ class TestExactRank:
                 mat[-1] = [c1 * x + c2 * y for x, y in zip(mat[0], mat[rng.randrange(rows - 1)])]
             assert exact_rank(mat) == naive_rank(mat)
 
+    @settings(max_examples=300, deadline=None)
+    @given(matrices())
+    def test_agrees_with_oracles(self, mat):
+        snapshot = [list(row) for row in mat]
+        assert exact_rank(mat) == naive_rank(mat) == bareiss_rank(mat)
+        assert [list(row) for row in mat] == snapshot
+
+    @pytest.mark.parametrize("mat", [[[1, 2], [3]], [[1], [2, 3]], [[], [1]]])
+    def test_ragged_rows_raise(self, mat):
+        with pytest.raises(ValueError):
+            exact_rank(mat)
+
+    def test_dense_growth_bound(self):
+        rng = random.Random(72)
+        mat = [[rng.randint(-10**6, 10**6) for _ in range(72)] for _ in range(72)]
+        start = time.perf_counter()
+        rank = exact_rank(mat)
+        assert time.perf_counter() - start < 2
+        assert rank == bareiss_rank(mat)
+
 
 class TestTangentCodimension:
     def test_examples(self):
@@ -129,6 +178,36 @@ class TestTangentCodimension:
     def test_zero_row_pencil(self):
         # L(0) alone is a 0x1 pencil; its orbit fills the whole (empty) space
         assert tangent_codimension(realize(S(right=[0]))) == 0
+
+    @pytest.mark.parametrize("m", range(1, 5))
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_dense_oracle(self, m, n):
+        for K in enumerate_structures(m, n):
+            P = realize(K)
+            assert tangent_codimension(P) == dense_tangent_codimension(P), K
+            for seed in range(5):
+                moved = random_equivalence(P, seed)
+                assert tangent_codimension(moved) == dense_tangent_codimension(moved), (K, seed)
+
+    def test_fractional_pencils(self):
+        for m in range(1, 4):
+            for n in range(1, 4):
+                for K in enumerate_structures(m, n):
+                    labels = default_assignment(K)
+                    P = realize(K, {lbl: Fraction(2 * i + 1, 2 + i) for i, lbl in enumerate(labels)})
+                    for seed in range(5):
+                        moved = random_equivalence(P, seed)
+                        assert moved == fraction_random_equivalence(P, seed), (K, seed)
+                        assert tangent_codimension(moved) == dense_tangent_codimension(moved)
+                        assert tangent_codimension(moved) == codimension(K)
+                        assert normal_rank(moved) == rank_of(K)
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 6))
+def test_pairwise_codimension_oracle(m, n):
+    for K in enumerate_structures(m, n):
+        assert pairwise_codimension(K) == codimension(K) == tangent_codimension(realize(K)), K
 
 
 class TestRandomEquivalence:
@@ -147,6 +226,14 @@ class TestRandomEquivalence:
             for seed in range(6):
                 assert tangent_codimension(random_equivalence(P, seed)) == codimension(K)
 
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_matches_fraction_oracle(self, m):
+        for n in range(1, 5):
+            for K in enumerate_structures(m, n):
+                P = realize(K)
+                for seed in range(10):
+                    assert random_equivalence(P, seed) == fraction_random_equivalence(P, seed)
+
     def test_eigenvalue_preserved(self):
         P = realize(S(jordan=[(e1, 1)]), {e1: 5})
         for seed in range(5):
@@ -159,6 +246,22 @@ class TestRandomEquivalence:
 def test_normal_rank_matches_structure(m, n):
     for K in enumerate_structures(m, n):
         assert normal_rank(realize(K)) == rank_of(K)
+
+
+def test_normal_rank_samples_past_every_eigenvalue():
+    # rank drops at 0, 1, 2, 3, 5 and 7, so six fixed points would miss it
+    values = (0, 1, 2, 3, 5, 7)
+    a = [[-values[i] if i == j else 0 for j in range(6)] for i in range(6)]
+    b = [[1 if i == j else 0 for j in range(6)] for i in range(6)]
+    P = RationalPencil.from_matrices(a, b)
+    assert normal_rank(P) == 6
+    assert normal_rank(P, sample_points=values) == 5
+
+
+def test_normal_rank_at_rational_points():
+    P = realize(S(jordan=[(e1, 2)]), {e1: Fraction(7, 2)})
+    assert normal_rank(P, sample_points=[Fraction(7, 2)]) == 1
+    assert normal_rank(P, sample_points=[Fraction(7, 2), Fraction(1, 3)]) == 2
 
 
 def test_pencil_validation():
