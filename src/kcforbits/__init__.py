@@ -11,6 +11,7 @@ inclusion.
 from .closure import (
     ClosureGraph,
     build_closure_graph,
+    closure_bitsets,
     degenerates_to,
     majorization_report,
     same_orbit,
@@ -79,6 +80,7 @@ __all__ = [
     "degenerates_to",
     "same_orbit",
     "majorization_report",
+    "closure_bitsets",
     "ClosureGraph",
     "build_closure_graph",
     "abel_sum_bound",

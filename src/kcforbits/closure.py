@@ -2,13 +2,20 @@
 
 Whether one orbit lies in the closure of another is decided by three
 weak-majorization conditions between the Weyr characteristics of the two
-structures, shifted by the rank drop h.  Orientation convention used
+structures, shifted by the rank drop h: one pair at a time by
+:func:`degenerates_to`, or all pairs of two lists at once by
+:func:`closure_bitsets`.  Orientation convention used
 everywhere in this package: ``degenerates_to(L, M)`` is true when M lies
 in the closure of the orbit of L, i.e. pencils with structure L can
 degenerate to the more special structure M.
 """
 
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate
+from operator import or_
 
 from .core import (
     EigenvalueLabel,
@@ -18,6 +25,7 @@ from .core import (
     rank_of,
     size_of,
     weyr_jordan,
+    weyr_jordan_pairs,
     weyr_singular,
 )
 from .errors import DuplicateNodeError, InvariantViolationError, SizeMismatchError
@@ -28,6 +36,7 @@ __all__ = [
     "degenerates_to",
     "same_orbit",
     "majorization_report",
+    "closure_bitsets",
     "ClosureGraph",
     "build_closure_graph",
 ]
@@ -131,6 +140,96 @@ def majorization_report(L: KroneckerStructure, M: KroneckerStructure) -> dict:
     }
 
 
+def set_bits(bits: int):
+    """Indices of the set bits of ``bits``, in increasing order."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+def _profile_columns(structures: list, lengths: tuple):
+    """The integer profiles of ``structures``, one coordinate at a time.
+
+    The closure order is the componentwise order of these profiles.  With
+    h = rank L - rank M, each condition P_j(lower) <= P_j(upper) + j*h of
+    :func:`majorization_conditions` splits into one value per structure:
+    P_j(r(M)) + j*rank M <= P_j(r(L)) + j*rank L, the same for l, and
+    P_j(W(mu, L)) - j*rank L <= P_j(W(mu, M)) - j*rank M.  Negating the
+    singular terms and the rank (for h >= 0) turns all of them into
+    profile(L) <= profile(M).  ``lengths`` zero-extends every sequence to
+    the batch's longest, which changes no condition once h >= 0: past the
+    length of ``lower`` its prefix sum stays constant while the shifted
+    right-hand side keeps growing.
+    """
+    ranks = [rank_of(K) for K in structures]
+    yield [-rank for rank in ranks]
+    kr, kl, weyr_lengths = lengths
+    by_label = {mu: [()] * len(structures) for mu, _ in weyr_lengths}
+    for i, K in enumerate(structures):
+        for mu, seq in weyr_jordan_pairs(K):
+            by_label[mu][i] = seq
+    parts = [(-1, kr, [weyr_singular(K, "right") for K in structures]),
+             (-1, kl, [weyr_singular(K, "left") for K in structures])]
+    parts += [(1, k, by_label[mu]) for mu, k in weyr_lengths]
+    for sign, k, seqs in parts:
+        column = [0] * len(structures)
+        for j in range(k):
+            column = [value + sign * (seq[j] if j < len(seq) else 0) - rank
+                      for value, seq, rank in zip(column, seqs, ranks)]
+            yield column
+
+
+def _dominated(universe, queries, size: int, count: int) -> list:
+    """Per query, the bitset of the universe items below it in every
+    coordinate, for ``size`` universe items and ``count`` queries given as
+    matching profile columns.
+
+    Each coordinate groups the universe by value and keeps, per distinct
+    value, the bitset of the items at or below it; a query then costs one
+    ``bisect`` and one AND per coordinate.
+    """
+    related = [(1 << size) - 1] * count
+    for column, thresholds in zip(universe, queries):
+        # one bit per item, set byte by byte: linear in the universe size
+        at = defaultdict(partial(bytearray, (size + 7) // 8))
+        for i, value in enumerate(column):
+            at[value][i >> 3] |= 1 << (i & 7)
+        keys = sorted(at)
+        below = [0, *accumulate((int.from_bytes(at[key], "little") for key in keys), or_)]
+        related = [bits & below[bisect_right(keys, t)] for bits, t in zip(related, thresholds)]
+    return related
+
+
+def closure_bitsets(sources, targets) -> list:
+    """:func:`degenerates_to` on every pair of ``sources`` x ``targets``.
+
+    Entry k is an int whose bit i is set iff
+    ``degenerates_to(sources[i], targets[k])``.  All structures must share
+    one pencil size.  Each structure becomes one integer profile (see
+    :func:`_profile_columns`): its rank and the prefix sums of r, l and
+    W(mu) for every label mu of the batch, each shifted by j times its
+    rank.  The related sources of a target are then the profiles below its
+    own in every coordinate, found by one threshold lookup per coordinate,
+    so no pair is tested on its own.
+    """
+    sources, targets = list(sources), list(targets)
+    batch = sources + targets
+    weyr = {}
+    for K in batch:
+        if size_of(K) != size_of(batch[0]):
+            raise SizeMismatchError(f"cannot compare {size_of(batch[0])} with {size_of(K)}")
+        for mu, seq in weyr_jordan_pairs(K):
+            weyr[mu] = max(weyr.get(mu, 0), len(seq))
+    lengths = (
+        max((len(weyr_singular(K, "right")) for K in batch), default=0),
+        max((len(weyr_singular(K, "left")) for K in batch), default=0),
+        tuple(weyr.items()),
+    )
+    return _dominated(_profile_columns(sources, lengths),
+                      _profile_columns(targets, lengths), len(sources), len(targets))
+
+
 @dataclass(frozen=True)
 class ClosureGraph:
     """Hasse diagram of the closure order over a fixed node set.
@@ -142,23 +241,6 @@ class ClosureGraph:
     nodes: tuple
     codimensions: tuple
     edges: tuple
-
-    def closure_relation(self) -> list:
-        """Reflexive-transitive closure of the edges, as a boolean matrix."""
-        n = len(self.nodes)
-        reach = [[i == j for j in range(n)] for i in range(n)]
-        adjacency = {i: [] for i in range(n)}
-        for i, j in self.edges:
-            adjacency[i].append(j)
-        for start in range(n):
-            stack = [start]
-            while stack:
-                at = stack.pop()
-                for nxt in adjacency[at]:
-                    if not reach[start][nxt]:
-                        reach[start][nxt] = True
-                        stack.append(nxt)
-        return reach
 
     def to_dot(self) -> str:
         lines = ["digraph closure_order {", "  rankdir=TB;"]
@@ -190,9 +272,9 @@ def build_closure_graph(nodes) -> ClosureGraph:
     """Covering edges of the closure order on ``nodes``.
 
     All nodes must share one pencil size and be pairwise distinct as
-    orbits.  The full relation is computed with ``degenerates_to`` and
-    then transitively reduced with bitsets; every covering edge must
-    raise the codimension.
+    orbits.  The full relation comes from one :func:`closure_bitsets`
+    batch and is then transitively reduced with bitsets; every covering
+    edge must raise the codimension.
     """
     nodes = tuple(nodes)
     seen = set()
@@ -203,21 +285,18 @@ def build_closure_graph(nodes) -> ClosureGraph:
         if node in seen:
             raise DuplicateNodeError(f"duplicate node {node}")
         seen.add(node)
-    n = len(nodes)
-    # down[i]: nodes in the closure of node i's orbit; up[j]: nodes whose
-    # closure holds node j.  (i, j) is a cover iff no k is in both.
-    down = [0] * n
-    up = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if i != j and degenerates_to(nodes[i], nodes[j]):
-                down[i] |= 1 << j
-                up[j] |= 1 << i
+    # up[j]: nodes whose closure holds node j; down[i]: nodes in the
+    # closure of node i's orbit.  (i, j) is a cover iff no k is in both.
+    up = [bits & ~(1 << j) for j, bits in enumerate(closure_bitsets(nodes, nodes))]
+    down = [0] * len(nodes)
+    for j, bits in enumerate(up):
+        for i in set_bits(bits):
+            down[i] |= 1 << j
     codims = tuple(codimension(node) for node in nodes)
     edges = []
-    for i in range(n):
-        for j in range(n):
-            if not down[i] >> j & 1 or down[i] & up[j]:
+    for i, below in enumerate(down):
+        for j in set_bits(below):
+            if below & up[j]:
                 continue
             if codims[i] >= codims[j]:
                 raise InvariantViolationError(

@@ -27,8 +27,10 @@ __all__ = [
     "finite",
     "KroneckerStructure",
     "size_of",
+    "size_from_blocks",
     "rank_of",
     "weyr_jordan",
+    "weyr_jordan_pairs",
     "weyr_singular",
     "codimension",
     "orbit_dimension",
@@ -168,8 +170,7 @@ def _compute_invariants(K: KroneckerStructure) -> _Invariants:
         (lbl, _weyr([s for _, s in run], 1)) for lbl, run in groupby(K.jordan, key=itemgetter(0))
     ])
     r, ell = _weyr(K.right, 0), _weyr(K.left, 0)
-    content = sum([s for _, s in K.jordan]) + sum(K.right) + sum(K.left)
-    m, n = content + len(K.left), content + len(K.right)
+    m, n = size_from_blocks(K)
     # l_0*n + r_0*m - sum r_i*r_{i+1} - sum l_i*l_{i+1} + sum_mu sum W_i(mu)^2
     codim = len(K.left) * n + len(K.right) * m
     codim -= sum(map(mul, r, r[1:])) + sum(map(mul, ell, ell[1:]))
@@ -189,6 +190,16 @@ def _weyr(sorted_sizes, start: int) -> tuple:
 def size_of(K: KroneckerStructure) -> tuple:
     """Row and column count (m, n) of any pencil with structure ``K``."""
     return K._invariants().size
+
+
+def size_from_blocks(K: KroneckerStructure) -> tuple:
+    """(m, n) from the block sizes alone, without computing the invariants.
+
+    For guards that must refuse a large pencil before doing work linear in
+    its size; everywhere else :func:`size_of` reads the carried value.
+    """
+    content = sum([s for _, s in K.jordan]) + sum(K.right) + sum(K.left)
+    return content + len(K.left), content + len(K.right)
 
 
 def rank_of(K: KroneckerStructure) -> int:
@@ -236,6 +247,11 @@ def weyr_jordan(K: KroneckerStructure, mu: EigenvalueLabel) -> tuple:
     Empty when ``mu`` is not an eigenvalue of ``K``.
     """
     return next((seq for lbl, seq in K._invariants().weyr if lbl == mu), ())
+
+
+def weyr_jordan_pairs(K: KroneckerStructure) -> tuple:
+    """(mu, weyr_jordan(K, mu)) for every eigenvalue mu of ``K``, in label order."""
+    return K._invariants().weyr
 
 
 def weyr_singular(K: KroneckerStructure, side: str) -> tuple:

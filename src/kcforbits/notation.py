@@ -19,7 +19,7 @@ each in sorted order.
 
 import re
 
-from .core import INFINITY, EigenvalueLabel, KroneckerStructure, finite
+from .core import INFINITY, EigenvalueLabel, KroneckerStructure, finite, size_from_blocks
 from .errors import DomainError, NotationLimitExceededError, ParseError
 
 __all__ = [
@@ -101,13 +101,12 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind != "end":
             raise ParseError(f"trailing input {value!r}", pos, expected={"'+'", "end of input"})
-        j = sum(s for _, s in jordan)
-        m = j + sum(right) + sum(k + 1 for k in left)
-        n = j + sum(k + 1 for k in right) + sum(left)
+        K = KroneckerStructure(jordan, right, left)
+        m, n = size_from_blocks(K)
         if max(m, n) > 10 ** MAX_DIGITS:
             raise NotationLimitExceededError(f"pencil of size {m}x{n} in structure notation "
                                              f"(at most 10^{MAX_DIGITS} per dimension allowed)")
-        return KroneckerStructure(jordan, right, left)
+        return K
 
     def term(self, jordan, right, left):
         kind, value, pos = self.peek()

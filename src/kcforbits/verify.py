@@ -22,7 +22,13 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
 from . import rules
-from .closure import degenerates_to, majorization_conditions, majorization_report, same_orbit
+from .closure import (
+    closure_bitsets,
+    majorization_conditions,
+    majorization_report,
+    same_orbit,
+    set_bits,
+)
 from .core import (
     INFINITY,
     KroneckerStructure,
@@ -253,29 +259,28 @@ def _pair_budget(nodes, max_pairs):
     return total
 
 
-def _matched_targets(nodes):
-    """``label_matchings`` of every node against an eigenvalue set, memoized.
+def _closure_rows(nodes, max_pairs):
+    """(M, sources, related) for every node M, in node order.
 
-    The re-embedded targets of a source M depend only on M's eigenvalue
-    set, so each set is matched once per suite call.
+    ``sources`` are the ``label_matchings`` of every node against M's
+    eigenvalue set, in node order; bit k of ``related`` is
+    ``degenerates_to(sources[k], M)``.  Both depend only on that set, so
+    each set is matched once and decided by one :func:`closure_bitsets`
+    batch over all of its nodes.
     """
-    memo = {}
-
-    def targets(m_labels):
-        if m_labels not in memo:
-            memo[m_labels] = [L for L0 in nodes for L in label_matchings(L0, m_labels)]
-        return memo[m_labels]
-
-    return targets
-
-
-def _pair_instances(nodes, max_pairs):
-    """Ordered pairs (L, M) with M canonical and L re-embedded against M."""
     _pair_budget(nodes, max_pairs)
-    targets = _matched_targets(nodes)
+    groups = {}
     for M in nodes:
-        for L in targets(eigenvalues(M)):
-            yield L, M
+        groups.setdefault(eigenvalues(M), []).append(M)
+    matched = {}
+    related = {}
+    for M in nodes:
+        m_labels = eigenvalues(M)
+        if m_labels not in matched:
+            matched[m_labels] = [L for L0 in nodes for L in label_matchings(L0, m_labels)]
+            related.update(zip(groups[m_labels],
+                               closure_bitsets(matched[m_labels], groups[m_labels])))
+        yield M, matched[m_labels], related[M]
 
 
 def verify_codimension_monotonicity(
@@ -296,24 +301,24 @@ def verify_codimension_monotonicity(
     nodes = enumerate_structures(m, n, pool_size, include_infinity)
     tracker = _Tracker()
     pair_count = 0
-    for L, M in _pair_instances(nodes, max_pairs):
-        pair_count += 1
-        if not degenerates_to(L, M):
-            continue
-        cl, cm = codimension(L), codimension(M)
+    for M, sources, related in _closure_rows(nodes, max_pairs):
+        pair_count += len(sources)
+        for k in set_bits(related):
+            L = sources[k]
+            cl, cm = codimension(L), codimension(M)
 
-        def info():
-            return {"L": str(L), "M": str(M), "codim_L": cl, "codim_M": cm,
-                    "h": rank_of(L) - rank_of(M)}
+            def info():
+                return {"L": str(L), "M": str(M), "codim_L": cl, "codim_M": cm,
+                        "h": rank_of(L) - rank_of(M)}
 
-        tracker.record("codim_monotone", cl <= cm, info)
-        tracker.record("codim_equality_iff_same_orbit",
-                       (cl == cm) == same_orbit(L, M), info)
-        if cl == cm:
-            ok = rank_of(L) == rank_of(M) and all(
-                lower == upper for _, lower, upper in majorization_conditions(L, M)
-            )
-            tracker.record("equality_forces_equal_majorizations", ok, info)
+            tracker.record("codim_monotone", cl <= cm, info)
+            tracker.record("codim_equality_iff_same_orbit",
+                           (cl == cm) == same_orbit(L, M), info)
+            if cl == cm:
+                ok = rank_of(L) == rank_of(M) and all(
+                    lower == upper for _, lower, upper in majorization_conditions(L, M)
+                )
+                tracker.record("equality_forces_equal_majorizations", ok, info)
     checks = tracker.results([
         "codim_monotone",
         "codim_equality_iff_same_orbit",
@@ -344,22 +349,21 @@ def cross_validate_characterizations(
     per universe expands each structure once for all sources, without
     consulting majorizations; ``max_expansions`` bounds each graph.  Every
     re-embedded target L is then tested for membership in M's descendant
-    bitset and compared with ``degenerates_to(L, M)``.  The targets and
+    bitset and compared with ``degenerates_to(L, M)``, read from one
+    :func:`closure_bitsets` batch per eigenvalue set.  The targets and
     their graph indices are computed once per eigenvalue set.
     """
     start = time.monotonic()
     nodes = enumerate_structures(m, n, pool_size, include_infinity)
-    _pair_budget(nodes, max_pairs)
     # label_matchings re-embeds unmatched labels right above the targets,
     # so the reservoir must start there too
     reservoir = rules._fresh_reservoir(min(m, n), map(eigenvalues, nodes))
     search_labels = tuple(reservoir) + ((INFINITY,) if include_infinity else ())
-    targets = _matched_targets(nodes)
     graphs = {}
     indexed = {}
     tracker = _Tracker()
     pair_count = 0
-    for M in nodes:
+    for M, sources, related in _closure_rows(nodes, max_pairs):
         m_labels = eigenvalues(M)
         universe = dict.fromkeys(m_labels + search_labels)
         key = frozenset(universe)
@@ -368,13 +372,12 @@ def cross_validate_characterizations(
         graph = graphs[key]
         reached = graph.descendants(M)
         if m_labels not in indexed:
-            indexed[m_labels] = [
-                (L, graph.node(_embed_fresh(L, m_labels, reservoir))) for L in targets(m_labels)
-            ]
-        for L, idx in indexed[m_labels]:
-            pair_count += 1
+            indexed[m_labels] = [graph.node(_embed_fresh(L, m_labels, reservoir))
+                                 for L in sources]
+        pair_count += len(sources)
+        for k, (L, idx) in enumerate(zip(sources, indexed[m_labels])):
             via_rules = bool(reached >> idx & 1)
-            via_majorization = degenerates_to(L, M)
+            via_majorization = bool(related >> k & 1)
 
             def info():
                 report = majorization_report(L, M)

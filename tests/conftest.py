@@ -9,7 +9,8 @@ integer ones, the Demmel-Edelman sum over pairs of blocks instead of the
 Weyr-characteristic codimension formula, direct block-multiset
 search instead of the budgeted structure enumerator, a fresh
 breadth-first search per source or path question instead of the rule
-graph, and a triple-loop transitive reduction instead of the bitset one.
+graph, a triple-loop transitive reduction instead of the bitset one, and
+a depth-first transitive closure of the Hasse edges.
 """
 
 import math
@@ -282,6 +283,25 @@ def bfs_reachable_path(M, L, prune=True):
                 return path[::-1]
             queue.append(child)
     return None
+
+
+def closure_relation(graph):
+    """Reflexive-transitive closure of a graph's edges, as a boolean matrix,
+    by a depth-first search from every node."""
+    n = len(graph.nodes)
+    reach = [[i == j for j in range(n)] for i in range(n)]
+    adjacency = {i: [] for i in range(n)}
+    for i, j in graph.edges:
+        adjacency[i].append(j)
+    for start in range(n):
+        stack = [start]
+        while stack:
+            at = stack.pop()
+            for nxt in adjacency[at]:
+                if not reach[start][nxt]:
+                    reach[start][nxt] = True
+                    stack.append(nxt)
+    return reach
 
 
 def naive_hasse_edges(nodes):

@@ -280,10 +280,20 @@ class TestErrorChannels:
         assert err.startswith("guard limit: pencil of size 1999998x1999998") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["realize", "tangent-codim"])
-    def test_large_legal_pencil_exits_70(self, capsys, command):
+    def test_large_legal_pencil_exits_70(self, capsys, monkeypatch, command):
+        parsed = []
+        parse_structure = cli.parse_structure
+
+        def parse(text):
+            parsed.append(parse_structure(text))
+            return parsed[-1]
+
+        monkeypatch.setattr(cli, "parse_structure", parse)
         start = time.perf_counter()
         code, out, err = run(capsys, command, "L(999999)")
         assert time.perf_counter() - start < 1
+        # the guard read the size from the blocks, not from the invariants
+        assert len(parsed) == 1 and parsed[0]._inv is None
         assert code == 70
         assert out == ""
         assert err.startswith("guard limit: cell budget 10000000 exceeded") and err.count("\n") == 1

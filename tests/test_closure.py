@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import naive_hasse_edges, nonincreasing_seqs
+from conftest import closure_relation, naive_hasse_edges, nonincreasing_seqs
 from kcforbits import closure
+from kcforbits import verify as verify_mod
 from kcforbits.closure import (
     build_closure_graph,
+    closure_bitsets,
     degenerates_to,
     majorization_report,
     same_orbit,
@@ -180,14 +182,16 @@ class TestClosureGraph:
         with pytest.raises(DuplicateNodeError):
             build_closure_graph([J1, S(jordan=[(e1, 1)])])
 
-    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3)])
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (3, 4)])
     def test_transitive_closure_reproduces_relation(self, m, n):
         nodes = enumerate_structures(m, n)
         graph = build_closure_graph(nodes)
-        reach = graph.closure_relation()
+        reach = closure_relation(graph)
+        batch = closure_bitsets(nodes, nodes)
         for i, a in enumerate(nodes):
             for j, b in enumerate(nodes):
                 assert reach[i][j] == (degenerates_to(a, b) if i != j else True)
+                assert reach[i][j] == bool(batch[j] >> i & 1)
 
     def test_edges_increase_codimension(self):
         nodes = enumerate_structures(2, 2)
@@ -206,3 +210,71 @@ class TestClosureGraph:
         monkeypatch.setattr(closure, "codimension", lambda K: 0)
         with pytest.raises(InvariantViolationError):
             build_closure_graph([J1, ZERO_1x1])
+
+    def test_relation_comes_from_the_batch(self, monkeypatch):
+        def refuse(L, M):
+            raise AssertionError("per-pair test")
+
+        monkeypatch.setattr(closure, "degenerates_to", refuse)
+        nodes = enumerate_structures(3, 3)
+        assert build_closure_graph(nodes).edges == naive_hasse_edges(nodes)
+
+
+def oracle_bitsets(sources, targets):
+    """Per target, the bitset of the sources that degenerate to it, by
+    ``degenerates_to`` on every pair."""
+    return [sum(degenerates_to(L, M) << i for i, L in enumerate(sources)) for M in targets]
+
+
+class TestClosureBitsets:
+    @pytest.mark.parametrize(
+        "m,n", [(m, n) for m in range(1, 6) for n in range(1, 6)] + [(6, 6)]
+    )
+    def test_all_ordered_pairs(self, m, n):
+        nodes = enumerate_structures(m, n)
+        assert closure_bitsets(nodes, nodes) == oracle_bitsets(nodes, nodes)
+
+    @pytest.mark.parametrize("m,n", [(4, 4), (3, 5), (4, 5)])
+    def test_suite_pairs(self, m, n):
+        # the re-embedded sources of the dim and rules suites, per target
+        nodes = enumerate_structures(m, n)
+        rows = 0
+        for M, sources, related in verify_mod._closure_rows(nodes, 10**7):
+            assert related == oracle_bitsets(sources, [M])[0], str(M)
+            rows += 1
+        assert rows == len(nodes)
+
+    @pytest.mark.parametrize("m,n", [(2, 3), (3, 3)])
+    def test_concrete_labels(self, m, n):
+        nodes = _concrete_nodes(m, n)
+        assert closure_bitsets(nodes, nodes) == oracle_bitsets(nodes, nodes)
+
+    @pytest.mark.parametrize("nodes", [_concrete_nodes(2, 2), enumerate_structures(3, 3)],
+                             ids=["2x2-concrete", "3x3"])
+    def test_one_pair_per_batch(self, nodes):
+        # a batch's labels are then only the pair's own, as in degenerates_to
+        for L in nodes:
+            for M in nodes:
+                assert closure_bitsets([L], [M]) == [int(degenerates_to(L, M))], (L, M)
+
+    def test_rank_cannot_increase(self):
+        assert closure_bitsets([ZERO_1x1, J1], [J1, ZERO_1x1]) == [0b10, 0b11]
+
+    def test_lists_of_different_lengths(self):
+        nodes = enumerate_structures(4, 4)
+        few, many = nodes[3:10], nodes[20:80]
+        assert closure_bitsets(few, many) == oracle_bitsets(few, many)
+        assert closure_bitsets(many, few) == oracle_bitsets(many, few)
+        assert closure_bitsets(iter(few), tuple(many)) == oracle_bitsets(few, many)
+
+    def test_empty_lists(self):
+        nodes = enumerate_structures(2, 2)
+        assert closure_bitsets([], nodes) == [0] * len(nodes)
+        assert closure_bitsets(nodes, []) == []
+        assert closure_bitsets([], []) == []
+
+    def test_size_mismatch(self):
+        with pytest.raises(SizeMismatchError):
+            closure_bitsets([J1], [S(right=[1])])
+        with pytest.raises(SizeMismatchError):
+            closure_bitsets([J1, S(right=[1])], [])

@@ -21,6 +21,15 @@ GOLDEN = [
      "ad140d12d71877e49cd2db0402729d8d0df7e3fc7620319bc62dae603afb42d1"),
     (("graph", "3", "4", "--dot"), 0,
      "664620b87bde654422f0e6f81359f950d0f2f0494dbf3c96931a14b7ca3f6d48"),
+    # the all-pairs closure relation at the sizes the benchmark runs
+    (("graph", "6", "6", "--json"), 0,
+     "94b4b68fd2ce1b41474b3b51bae340c78388c029865398dadb95ef545224cd87"),
+    (("graph", "5", "5", "--dot"), 0,
+     "aa2f2dfe8f498d2939251ad08cc6cf33f0ee9a27359b3564e4b75f613f19772d"),
+    (("verify", "5", "5", "--checks", "dim", "--json"), 0,
+     "1eb18b27f07b6cd9f32e6c9ef0e940ec644ceecffbd1ae1947c7248678ea8008"),
+    (("verify", "4", "5", "--checks", "rules", "--json"), 0,
+     "a35101b4fe3021934b38063e913feaed636167b1a2177fa46fbeb55e68145662"),
     # the e1 condition fails, the e2 condition holds
     (("closure", "J(1;e1) + L(1)", "J(1;e2) + L(1)"), 3,
      "8790150620560fe7fe332ea39866a40c89bb76fb9fe77238498fd7bc436c2072"),

@@ -167,7 +167,8 @@ class TestMatchingsMemo:
         nodes = enumerate_structures(3, 3)
         naive = [(L, M) for M in nodes for L0 in nodes
                  for L in label_matchings(L0, eigenvalues(M))]
-        assert list(verify_mod._pair_instances(nodes, 10**7)) == naive
+        rows = verify_mod._closure_rows(nodes, 10**7)
+        assert [(L, M) for M, sources, _ in rows for L in sources] == naive
 
     @pytest.mark.parametrize("suite", [verify_codimension_monotonicity,
                                        cross_validate_characterizations])
