@@ -228,7 +228,7 @@ def _parse_assignment(text):
 
 def cmd_realize(args):
     K = parse_structure(args.structure)
-    m, n = size_from_blocks(K)
+    m, n = size_from_blocks(K.jordan, K.right, K.left)
     _check_cells(2 * m * n, f"a {m}x{n} pencil")
     assignment = _parse_assignment(args.assign) if args.assign else None
     pencil = realize(K, assignment)
@@ -245,7 +245,7 @@ def cmd_realize(args):
 
 def cmd_tangent_codim(args):
     K = parse_structure(args.structure)
-    m, n = size_from_blocks(K)
+    m, n = size_from_blocks(K.jordan, K.right, K.left)
     _check_cells(2 * m * n * (m * m + n * n), f"the tangent matrix of a {m}x{n} pencil")
     formula = codimension(K)
     oracle = tangent_codimension(realize(K))

@@ -28,6 +28,7 @@ __all__ = [
     "KroneckerStructure",
     "size_of",
     "size_from_blocks",
+    "block_invariants",
     "rank_of",
     "weyr_jordan",
     "weyr_jordan_pairs",
@@ -36,8 +37,6 @@ __all__ = [
     "orbit_dimension",
     "canonicalize",
     "eigenvalues",
-    "jordan_sizes",
-    "segre_characteristic",
     "relabel",
     "weyr_characteristic",
     "is_weakly_decreasing",
@@ -165,18 +164,28 @@ class KroneckerStructure:
 
 
 def _compute_invariants(K: KroneckerStructure) -> _Invariants:
-    # K.jordan is sorted by label, then size: each label's sizes are one run
+    size, r, ell, weyr, codim = block_invariants(K.jordan, K.right, K.left)
+    return _Invariants(hash(structure_sort_key(K)), size, size[1] - len(K.right),
+                       tuple([lbl for lbl, _ in weyr]), r, ell, weyr, codim)
+
+
+def block_invariants(jordan, right, left) -> tuple:
+    """((m, n), r, l, weyr, codim) of sorted blocks, by the Weyr formula.
+
+    ``jordan`` holds (label, size) pairs sorted by label, then size, so each
+    label's sizes are one run; labels are only compared for equality, so
+    the rule graph's int codes serve as well as :class:`EigenvalueLabel`.
+    """
     weyr = tuple([
-        (lbl, _weyr([s for _, s in run], 1)) for lbl, run in groupby(K.jordan, key=itemgetter(0))
+        (lbl, _weyr([s for _, s in run], 1)) for lbl, run in groupby(jordan, key=itemgetter(0))
     ])
-    r, ell = _weyr(K.right, 0), _weyr(K.left, 0)
-    m, n = size_from_blocks(K)
+    r, ell = _weyr(right, 0), _weyr(left, 0)
+    m, n = size_from_blocks(jordan, right, left)
     # l_0*n + r_0*m - sum r_i*r_{i+1} - sum l_i*l_{i+1} + sum_mu sum W_i(mu)^2
-    codim = len(K.left) * n + len(K.right) * m
+    codim = len(left) * n + len(right) * m
     codim -= sum(map(mul, r, r[1:])) + sum(map(mul, ell, ell[1:]))
     codim += sum([sum(map(mul, seq, seq)) for _, seq in weyr])
-    return _Invariants(hash(structure_sort_key(K)), (m, n), n - len(K.right),
-                       tuple([lbl for lbl, _ in weyr]), r, ell, weyr, codim)
+    return (m, n), r, ell, weyr, codim
 
 
 def _weyr(sorted_sizes, start: int) -> tuple:
@@ -192,14 +201,14 @@ def size_of(K: KroneckerStructure) -> tuple:
     return K._invariants().size
 
 
-def size_from_blocks(K: KroneckerStructure) -> tuple:
+def size_from_blocks(jordan, right, left) -> tuple:
     """(m, n) from the block sizes alone, without computing the invariants.
 
     For guards that must refuse a large pencil before doing work linear in
     its size; everywhere else :func:`size_of` reads the carried value.
     """
-    content = sum([s for _, s in K.jordan]) + sum(K.right) + sum(K.left)
-    return content + len(K.left), content + len(K.right)
+    content = sum([s for _, s in jordan]) + sum(right) + sum(left)
+    return content + len(left), content + len(right)
 
 
 def rank_of(K: KroneckerStructure) -> int:
@@ -209,15 +218,6 @@ def rank_of(K: KroneckerStructure) -> int:
     with m minus the number of left singular blocks.
     """
     return K._invariants().rank
-
-
-def jordan_sizes(K: KroneckerStructure, mu: EigenvalueLabel) -> tuple:
-    return tuple(s for lbl, s in K.jordan if lbl == mu)
-
-
-def segre_characteristic(K: KroneckerStructure, mu: EigenvalueLabel) -> tuple:
-    """Jordan block sizes at ``mu``, largest first."""
-    return tuple(sorted(jordan_sizes(K, mu), reverse=True))
 
 
 def eigenvalues(K: KroneckerStructure) -> tuple:
@@ -317,12 +317,12 @@ def canonicalize(K: KroneckerStructure) -> KroneckerStructure:
     Idempotent, and invariant under any bijective relabeling of the
     finite labels.
     """
-    finite_labels = [lbl for lbl in eigenvalues(K) if not lbl.is_infinite]
-    ordered = sorted(
-        finite_labels,
-        key=lambda lbl: (_partition_order_key(segre_characteristic(K, lbl)), lbl.sort_key()),
-    )
-    mapping = {lbl: finite(i + 1) for i, lbl in enumerate(ordered)}
+    # K.jordan is sorted: each label's sizes are one ascending run, and
+    # its Segre characteristic is that run reversed
+    segre = [(lbl, [s for _, s in run][::-1])
+             for lbl, run in groupby(K.jordan, key=itemgetter(0)) if not lbl.is_infinite]
+    segre.sort(key=lambda pair: (_partition_order_key(pair[1]), pair[0].sort_key()))
+    mapping = {lbl: finite(i + 1) for i, (lbl, _) in enumerate(segre)}
     return relabel(K, mapping)
 
 

@@ -102,7 +102,7 @@ class _Parser:
         if kind != "end":
             raise ParseError(f"trailing input {value!r}", pos, expected={"'+'", "end of input"})
         K = KroneckerStructure(jordan, right, left)
-        m, n = size_from_blocks(K)
+        m, n = size_from_blocks(K.jordan, K.right, K.left)
         if max(m, n) > 10 ** MAX_DIGITS:
             raise NotationLimitExceededError(f"pencil of size {m}x{n} in structure notation "
                                              f"(at most 10^{MAX_DIGITS} per dimension allowed)")

@@ -20,26 +20,26 @@ The moves, on block multisets (J_0 is empty and is dropped):
 
 Rules 1-5 preserve the rank; rule 6 raises it by one.
 
-One search engine lives here.  :class:`RuleGraph` holds the structures
-reached over one eigenvalue-label universe and expands each of them at
-most once, however many sources reach it.  Its descendant sets are
-Python-int bitsets over the graph's node indices, so a membership test is
-one index lookup and one bit test.  :func:`reachable_structures` is one
-source on a fresh graph, the exhaustive verifier shares one graph per
-universe across all of its sources, and :func:`reachable` is a
-breadth-first path query on a fresh graph.
+One search engine lives here.  :class:`RuleGraph` expands each structure
+reached over one eigenvalue-label universe once, however many sources
+reach it, working on plain-int tuples for structures and moves; it builds
+a :class:`KroneckerStructure` or :class:`RuleInstance` only for an answer.
+:func:`apply_rule` and :func:`applicable_instances` encode, run the same
+moves and decode.  :func:`reachable_structures` is one source on a fresh
+graph, the exhaustive verifier shares one graph per universe across all of
+its sources, and :func:`reachable` is a breadth-first path query.
 """
 
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, groupby
 
-from .closure import degenerates_to
+from .closure import degenerates_to, set_bits
 from .core import (
     INFINITY,
     EigenvalueLabel,
     KroneckerStructure,
-    codimension,
+    block_invariants,
     eigenvalues,
     finite,
     partitions_desc,
@@ -136,25 +136,78 @@ class RuleInstance:
         return out
 
 
-def _consumed_produced(inst: RuleInstance):
-    """Blocks removed and added by ``inst``, as (jordan, right, left) triples."""
-    rid, j, k, mu = inst.rule_id, inst.j, inst.k, inst.mu
-    if rid == 1:
-        return ((), (j - 1, k + 1), ()), ((), (j, k), ())
-    if rid == 2:
-        return ((), (), (j - 1, k + 1)), ((), (), (j, k))
-    if rid == 3:
-        produced_j = ((mu, k),) if k >= 1 else ()
-        return (((mu, k + 1),), (j,), ()), (produced_j, (j + 1,), ())
-    if rid == 4:
-        produced_j = ((mu, k),) if k >= 1 else ()
-        return (((mu, k + 1),), (), (j,)), (produced_j, (), (j + 1,))
+def _exchange(move):
+    """Blocks removed and added by a move tuple, as (jordan, right, left)
+    triples.  Labels are only placed, so they may be codes or objects."""
+    rid, j, k, p, q, mu, parts = move
     if rid == 5:
-        produced_j = ((mu, k + 1),) if j == 1 else ((mu, j - 1), (mu, k + 1))
-        return (((mu, j), (mu, k)), (), ()), (produced_j, (), ())
-    # rule 6
-    produced_j = tuple((lbl, s) for s, lbl in inst.parts)
-    return ((), (inst.p,), (inst.q,)), (produced_j, (), ())
+        produced = ((mu, k + 1),) if j == 1 else ((mu, j - 1), (mu, k + 1))
+        return (((mu, j), (mu, k)), (), ()), (produced, (), ())
+    if rid == 6:
+        return ((), (p,), (q,)), (tuple([(c, s) for s, c in parts]), (), ())
+    gone, new = ((j - 1, k + 1), (j, k)) if rid <= 2 else ((j,), (j + 1,))
+    jordan = ((), ()) if rid <= 2 else (((mu, k + 1),), ((mu, k),) if k >= 1 else ())
+    if rid % 2:  # rules 1 and 3 act on L blocks, rules 2 and 4 on LT blocks
+        return (jordan[0], gone, ()), (jordan[1], new, ())
+    return (jordan[0], (), gone), (jordan[1], (), new)
+
+
+def _apply(key, move):
+    """``key`` after ``move``, or None when a consumed block is absent."""
+    out = []
+    for blocks, gone, new in zip(key, *_exchange(move)):
+        if gone or new:
+            blocks = list(blocks)
+            for block in gone:
+                if block not in blocks:
+                    return None
+                blocks.remove(block)
+            blocks = tuple(sorted(blocks + list(new)))
+        out.append(blocks)
+    return tuple(out)
+
+
+def _moves(key, rule6_parts) -> list:
+    """Every move applicable to ``key``, sorted; ``rule6_parts(total)``
+    lists the rule-6 part tuples of that total."""
+    jordan, right, left = key
+    rights, lefts, blocks = sorted(set(right)), sorted(set(left)), sorted(set(jordan))
+    out = [(1, a + 1, b - 1, 0, 0, -1, ()) for a in rights for b in rights if b >= a + 2]
+    out += [(2, a + 1, b - 1, 0, 0, -1, ()) for a in lefts for b in lefts if b >= a + 2]
+    out += [(3, a, s - 1, 0, 0, mu, ()) for a in rights for mu, s in blocks]
+    out += [(4, a, s - 1, 0, 0, mu, ()) for a in lefts for mu, s in blocks]
+    # rule 5 pairs two blocks at one label; blocks is sorted by label, then size
+    out += [(5, s, t, 0, 0, mu, ()) for i, (mu, s) in enumerate(blocks) for nu, t in blocks[i:]
+            if nu == mu and (s < t or jordan.count((mu, s)) >= 2)]
+    out += [(6, 0, 0, p, q, -1, parts)
+            for p in rights for q in lefts for parts in rule6_parts(p + q + 1)]
+    out.sort()
+    return out
+
+
+def _rule6_parts(total: int, existing, fresh) -> list:
+    """Rule-6 part tuples of (size, code), each sorted by (-size, code).
+
+    ``existing`` codes are concrete and enumerated in full; ``fresh`` codes
+    are interchangeable, so they are drawn as a prefix of the list, larger
+    parts first: one part tuple per distinct coincidence pattern.
+    """
+    out = set()
+    for partition in partitions_desc(total):
+        states = [((), 0)]  # (parts so far, fresh codes used), one size group at a time
+        for size, group in groupby(partition):
+            count, grown = len(list(group)), []
+            for acc, used in states:
+                taken = {c for _, c in acc}
+                free = [c for c in existing if c not in taken]
+                for picked in range(max(0, count - len(fresh) + used), count + 1):
+                    for combo in combinations(free, picked):
+                        codes = combo + tuple(fresh[used:used + count - picked])
+                        grown.append((acc + tuple([(size, c) for c in codes]),
+                                      used + count - picked))
+            states = grown
+        out.update(tuple(sorted(acc, key=lambda t: (-t[0], t[1]))) for acc, _ in states)
+    return sorted(out)
 
 
 def apply_rule(K: KroneckerStructure, inst: RuleInstance) -> KroneckerStructure:
@@ -162,108 +215,30 @@ def apply_rule(K: KroneckerStructure, inst: RuleInstance) -> KroneckerStructure:
 
     Raises :class:`MissingBlocksError` when a consumed block is absent.
     """
-    consumed, produced = _consumed_produced(inst)
-    jordan, right, left = list(K.jordan), list(K.right), list(K.left)
-    missing = []
-    for pool, wanted in ((jordan, consumed[0]), (right, consumed[1]), (left, consumed[2])):
-        for item in wanted:
-            try:
-                pool.remove(item)
-            except ValueError:
-                missing.append(item)
-    if missing:
-        raise MissingBlocksError(f"{K} lacks blocks consumed by rule {inst.rule_id}: {missing}")
-    jordan.extend(produced[0])
-    right.extend(produced[1])
-    left.extend(produced[2])
-    out = KroneckerStructure(jordan, right, left)
+    graph = RuleGraph([*eigenvalues(K), *filter(None, [inst.mu]), *(lbl for _, lbl in inst.parts)])
+    codes = graph._codes
+    move = (inst.rule_id, inst.j, inst.k, inst.p, inst.q, codes.get(inst.mu, -1),
+            tuple([(s, codes[lbl]) for s, lbl in inst.parts]))
+    child = _apply(graph.nodes[graph.node(K)], move)
+    if child is None:
+        raise MissingBlocksError(f"{K} lacks blocks consumed by {describe_instance(inst)}")
+    out = graph.structure(graph._node(child))
     if size_of(out) != size_of(K):
         raise InvariantViolationError(
-            f"rule {inst.rule_id} changed the size of {K} to {size_of(out)}"
-        )
+            f"rule {inst.rule_id} changed the size of {K} to {size_of(out)}")
     return out
 
 
 def describe_instance(inst: RuleInstance) -> str:
-    consumed, produced = _consumed_produced(inst)
-
     def side(triple):
         terms = [f"J({s};{lbl})" for lbl, s in triple[0]]
         terms += [f"L({k})" for k in triple[1]]
         terms += [f"LT({k})" for k in triple[2]]
         return " + ".join(terms) if terms else "(nothing)"
 
+    consumed, produced = _exchange(
+        (inst.rule_id, inst.j, inst.k, inst.p, inst.q, inst.mu, inst.parts))
     return f"rule {inst.rule_id}: {side(consumed)} ~> {side(produced)}"
-
-
-def _rule6_parts(total: int, existing, fresh):
-    """Part multisets for rule 6 with the given label candidates.
-
-    ``existing`` labels are concrete and enumerated in full; ``fresh``
-    labels are interchangeable representatives, so within each instance
-    they are drawn as a prefix of the list and attached to parts in a
-    fixed order.  One instance per distinct coincidence pattern.
-    """
-    existing = list(existing)
-    out = set()
-    for partition in partitions_desc(total):
-        groups = [(s, len(list(g))) for s, g in groupby(partition)]
-
-        def rec(gi, used, fresh_used, acc):
-            if gi == len(groups):
-                out.add(tuple(sorted(acc, key=lambda t: (-t[0], t[1].sort_key()))))
-                return
-            size, count = groups[gi]
-            available = [lbl for lbl in existing if lbl not in used]
-            for picked in range(count + 1):
-                wanted_fresh = count - picked
-                if fresh_used + wanted_fresh > len(fresh):
-                    continue
-                for combo in combinations(available, picked):
-                    labels = list(combo) + fresh[fresh_used:fresh_used + wanted_fresh]
-                    rec(
-                        gi + 1,
-                        used | set(combo),
-                        fresh_used + wanted_fresh,
-                        acc + [(size, lbl) for lbl in labels],
-                    )
-
-        rec(0, frozenset(), 0, [])
-    return sorted(out, key=lambda parts: tuple((s, lbl.sort_key()) for s, lbl in parts))
-
-
-def _instances(K: KroneckerStructure, existing, fresh):
-    """All applicable instances, with rule-6 labels from the given candidates."""
-    out = []
-    right_values = sorted(set(K.right))
-    left_values = sorted(set(K.left))
-    jordan_values = list(dict.fromkeys(K.jordan))  # K.jordan is sorted
-    for a in right_values:
-        for b in right_values:
-            if b >= a + 2:
-                out.append(RuleInstance(1, j=a + 1, k=b - 1))
-    for a in left_values:
-        for b in left_values:
-            if b >= a + 2:
-                out.append(RuleInstance(2, j=a + 1, k=b - 1))
-    for a in right_values:
-        for mu, s in jordan_values:
-            out.append(RuleInstance(3, j=a, k=s - 1, mu=mu))
-    for a in left_values:
-        for mu, s in jordan_values:
-            out.append(RuleInstance(4, j=a, k=s - 1, mu=mu))
-    for mu in eigenvalues(K):
-        sizes = sorted({s for lbl, s in K.jordan if lbl == mu})
-        counts = {s: sum(1 for lbl, t in K.jordan if lbl == mu and t == s) for s in sizes}
-        for sj in sizes:
-            for sk in sizes:
-                if sj < sk or (sj == sk and counts[sj] >= 2):
-                    out.append(RuleInstance(5, j=sj, k=sk, mu=mu))
-    for p in right_values:
-        for q in left_values:
-            for parts in _rule6_parts(p + q + 1, existing, fresh):
-                out.append(RuleInstance(6, p=p, q=q, parts=parts))
-    return sorted(out, key=RuleInstance.sort_key)
 
 
 def applicable_instances(K: KroneckerStructure, label_pool) -> list:
@@ -280,65 +255,87 @@ def applicable_instances(K: KroneckerStructure, label_pool) -> list:
     if not evs <= set(pool):
         missing = sorted(evs - set(pool), key=EigenvalueLabel.sort_key)
         raise PoolTooSmallError(f"pool must contain every eigenvalue of {K}; missing {missing}")
-    m, n = size_of(K)
-    fresh = [lbl for lbl in pool if lbl not in evs and not lbl.is_infinite]
-    if len(fresh) < min(m, n):
+    fresh, need = [lbl for lbl in pool if lbl not in evs and not lbl.is_infinite], min(size_of(K))
+    if len(fresh) < need:
         raise PoolTooSmallError(
-            f"pool needs at least {min(m, n)} fresh finite labels, found {len(fresh)}"
-        )
-    existing = list(eigenvalues(K))
-    if INFINITY in pool and INFINITY not in evs:
-        existing.append(INFINITY)
-    return _instances(K, existing, fresh)
+            f"pool needs at least {need} fresh finite labels, found {len(fresh)}")
+    graph = RuleGraph(pool)
+    existing = [graph._codes[lbl] for lbl in pool if lbl in evs or lbl.is_infinite]
+    fresh = [graph._codes[lbl] for lbl in fresh]
+    moves = _moves(graph.nodes[graph.node(K)], lambda total: _rule6_parts(total, existing, fresh))
+    return [graph.instance(move) for move in moves]
 
 
 def _fresh_reservoir(count: int, label_sets) -> list:
     """``count`` finite labels numbered above every finite label in ``label_sets``."""
-    base = 1
-    for labels in label_sets:
-        for lbl in labels:
-            if not lbl.is_infinite:
-                base = max(base, lbl.id + 1)
-    return [finite(base + i) for i in range(count)]
-
-
-def _search_instances(state: KroneckerStructure, universe) -> list:
-    # every universe label is concrete here: reachability targets are
-    # compared by identity, so no fresh-label collapsing is allowed
-    return _instances(state, universe, [])
+    ids = [lbl.id for labels in label_sets for lbl in labels if not lbl.is_infinite]
+    return [finite(max(ids, default=0) + 1 + i) for i in range(count)]
 
 
 class RuleGraph:
     """Prune-free rule reachability over one eigenvalue-label universe.
 
-    Rule-6 eigenvalues are drawn from ``universe``, every label a concrete
-    candidate, so the moves out of a structure depend on the structure and
-    the universe alone.  Each structure is therefore expanded at most once
-    per graph, and ``descendants`` memoizes, in post-order, the bitset
-    desc(X) = bit(X) | OR desc(child) over node indices.  The graph is
-    acyclic because every move lowers the codimension (checked on every
-    edge), so the memo is well founded.  ``max_expansions`` bounds the
-    expansions over the graph's whole life.
+    A node is ``(jordan, right, left)``: sorted (code, size) pairs, where
+    ``e<i>`` is coded ``i`` and infinity one above the universe's largest
+    finite id, so codes sort as the labels do; then the sorted singular
+    sizes.  A move is ``(rule, j, k, p, q, mu, parts)``, mu -1 when absent,
+    so tuple order is :meth:`RuleInstance.sort_key` order.  ``nodes``,
+    ``codims`` and ``sizes`` hold each node's key, codimension and (m, n),
+    computed once; :meth:`structure` and :meth:`instance` decode answers.
+
+    Every universe label is a concrete rule-6 candidate, so the moves out
+    of a structure depend on it and the universe alone: each structure is
+    expanded at most once, and the rule-6 part tuples are listed once per
+    total.  ``descendants`` memoizes, in post-order, the bitset
+    desc(X) = bit(X) | OR desc(child) over node indices; every move lowers
+    the codimension (checked on every edge, with the size), so the graph is
+    acyclic.  ``max_expansions`` bounds the expansions over its whole life.
     """
 
     def __init__(self, universe, max_expansions=None):
         self.universe = list(universe)
         self.max_expansions = max_expansions
         self.expansions = 0
-        self.nodes = []
+        inf = 1 + max([lbl.id for lbl in self.universe if not lbl.is_infinite], default=0)
+        self._codes = {lbl: inf if lbl.is_infinite else lbl.id for lbl in self.universe}
+        self._labels = {c: lbl for lbl, c in self._codes.items()}
+        self._parts = {}  # rule-6 part tuples by total size
         self._index = {}
-        self._children = []
+        self.nodes, self.codims, self.sizes, self._children = [], [], [], []
         self._desc = []  # 0 until computed: a finished bitset holds its own bit
 
-    def node(self, K: KroneckerStructure) -> int:
-        """Index of ``K``, registered unexpanded when it is new."""
-        idx = self._index.get(K)
+    def structure(self, i: int) -> KroneckerStructure:
+        jordan, right, left = self.nodes[i]
+        return KroneckerStructure([(self._labels[c], s) for c, s in jordan], right, left)
+
+    def instance(self, move) -> RuleInstance:
+        rid, j, k, p, q, mu, parts = move
+        return RuleInstance(rid, j, k, self._labels.get(mu), p, q,
+                            tuple([(s, self._labels[c]) for s, c in parts]))
+
+    def node(self, K: KroneckerStructure, rename=None) -> int:
+        """Index of ``K`` with its labels renamed by ``rename``; new ones unexpanded."""
+        rename, codes = rename or {}, self._codes
+        jordan = tuple(sorted([(codes[rename.get(lbl, lbl)], s) for lbl, s in K.jordan]))
+        return self._node((jordan, K.right, K.left))
+
+    def _node(self, key) -> int:
+        idx = self._index.get(key)
         if idx is None:
-            idx = self._index[K] = len(self.nodes)
-            self.nodes.append(K)
+            idx = self._index[key] = len(self.nodes)
+            size, _, _, _, codim = block_invariants(*key)
+            self.nodes.append(key)
+            self.codims.append(codim)
+            self.sizes.append(size)
             self._children.append(None)
             self._desc.append(0)
         return idx
+
+    def _rule6_parts(self, total: int) -> list:
+        parts = self._parts.get(total)
+        if parts is None:
+            parts = self._parts[total] = _rule6_parts(total, sorted(self._labels), [])
+        return parts
 
     def descendants(self, M: KroneckerStructure) -> int:
         """Bitset of the nodes reachable from ``M``, ``M`` itself included."""
@@ -365,29 +362,29 @@ class RuleGraph:
 
     def members(self, bits: int) -> frozenset:
         """The structures whose indices are set in ``bits``."""
-        return frozenset(
-            self.nodes[i] for i, bit in enumerate(reversed(bin(bits)[2:])) if bit == "1"
-        )
+        return frozenset(self.structure(i) for i in set_bits(bits))
 
     def successors(self, i, source) -> dict:
-        """``{child index: first instance giving it}`` of node ``i``, in
-        sorted-instance order.  One expansion against ``max_expansions``
-        (``source`` names the search); every move must lower the codimension.
+        """``{child index: first move giving it}`` of node ``i``, in
+        sorted-move order.  One expansion against ``max_expansions``
+        (``source`` names the search); every move must keep the size and
+        lower the codimension.
         """
         if self.max_expansions is not None and self.expansions >= self.max_expansions:
             raise SearchBudgetExceededError(
                 f"reachability from {source} exceeded {self.max_expansions} expansions"
             )
         self.expansions += 1
-        state = self.nodes[i]
+        key, codim, size = self.nodes[i], self.codims[i], self.sizes[i]
+        codims, sizes = self.codims, self.sizes
         kids = {}
-        for inst in _search_instances(state, self.universe):
-            child = apply_rule(state, inst)
-            if codimension(child) >= codimension(state):
+        for move in _moves(key, self._rule6_parts):
+            k = self._node(_apply(key, move))
+            if codims[k] >= codim or sizes[k] != size:
                 raise InvariantViolationError(
-                    f"rule {inst.rule_id} took {state} to {child} without lowering the codimension"
-                )
-            kids.setdefault(self.node(child), inst)
+                    f"rule {move[0]} took {self.structure(i)} (codimension {codim}, size {size}) "
+                    f"to {self.structure(k)} (codimension {codims[k]}, size {sizes[k]})")
+            kids.setdefault(k, move)
         return kids
 
 
@@ -411,33 +408,31 @@ def reachable(M: KroneckerStructure, L: KroneckerStructure, prune: bool = True,
         raise SizeMismatchError(f"cannot search between sizes {size_of(M)} and {size_of(L)}")
     if M == L:
         return []
-    target_codim = codimension(L)
-    if codimension(M) <= target_codim:
-        return None
-    m, n = size_of(M)
     evs = sorted(set(eigenvalues(M)) | set(eigenvalues(L)), key=EigenvalueLabel.sort_key)
-    graph = RuleGraph(evs + _fresh_reservoir(min(m, n), [evs]), max_expansions)
+    graph = RuleGraph(evs + _fresh_reservoir(min(size_of(M)), [evs]), max_expansions)
     root, goal = graph.node(M), graph.node(L)
+    target_codim = graph.codims[goal]
+    if graph.codims[root] <= target_codim:
+        return None
     parents = {root: None}
     rejected = set()
     queue = deque([root])
     while queue:
         i = queue.popleft()
-        for k, inst in graph.successors(i, M).items():
+        for k, move in graph.successors(i, M).items():
             if k in parents or k in rejected:
                 continue
-            child = graph.nodes[k]
-            if prune and not degenerates_to(L, child):
+            if prune and not degenerates_to(L, graph.structure(k)):
                 rejected.add(k)
                 continue
-            parents[k] = (i, inst)
+            parents[k] = (i, move)
             if k == goal:
                 path = []
                 while parents[k] is not None:
-                    k, inst = parents[k]
-                    path.append(inst)
+                    k, move = parents[k]
+                    path.append(graph.instance(move))
                 return path[::-1]
-            if codimension(child) > target_codim:
+            if graph.codims[k] > target_codim:
                 queue.append(k)
     return None
 
@@ -454,10 +449,9 @@ def reachable_structures(M: KroneckerStructure, fresh_labels=None, max_expansion
     ``stats["expansions"]`` equals ``stats["visited"]`` and
     ``max_expansions`` bounds both.
     """
-    m, n = size_of(M)
     evs = list(eigenvalues(M))
     if fresh_labels is None:
-        fresh_labels = _fresh_reservoir(min(m, n), [evs]) + [INFINITY]
+        fresh_labels = _fresh_reservoir(min(size_of(M)), [evs]) + [INFINITY]
     graph = RuleGraph(dict.fromkeys(evs + list(fresh_labels)), max_expansions)
     reached = graph.members(graph.descendants(M))
     return reached, {"visited": len(reached), "expansions": graph.expansions}

@@ -359,8 +359,7 @@ def cross_validate_characterizations(
     # so the reservoir must start there too
     reservoir = rules._fresh_reservoir(min(m, n), map(eigenvalues, nodes))
     search_labels = tuple(reservoir) + ((INFINITY,) if include_infinity else ())
-    graphs = {}
-    indexed = {}
+    graphs, indexed = {}, {}
     tracker = _Tracker()
     pair_count = 0
     for M, sources, related in _closure_rows(nodes, max_pairs):
@@ -372,7 +371,8 @@ def cross_validate_characterizations(
         graph = graphs[key]
         reached = graph.descendants(M)
         if m_labels not in indexed:
-            indexed[m_labels] = [graph.node(_embed_fresh(L, m_labels, reservoir))
+            shared = set(m_labels)
+            indexed[m_labels] = [graph.node(L, _embed_fresh(L, shared, reservoir))
                                  for L in sources]
         pair_count += len(sources)
         for k, (L, idx) in enumerate(zip(sources, indexed[m_labels])):
@@ -403,12 +403,10 @@ def cross_validate_characterizations(
     )
 
 
-def _embed_fresh(L, m_labels, reservoir):
-    """Rename the non-shared labels of ``L`` onto the search reservoir."""
-    shared = set(m_labels)
+def _embed_fresh(L, shared, reservoir) -> dict:
+    """Renaming of the non-shared finite labels of ``L`` onto the reservoir."""
     extras = [lbl for lbl in eigenvalues(L) if not lbl.is_infinite and lbl not in shared]
-    mapping = {lbl: reservoir[i] for i, lbl in enumerate(extras)}
-    return relabel(L, mapping)
+    return dict(zip(extras, reservoir))
 
 
 def verify_formula_identities(

@@ -7,10 +7,12 @@ elimination and dense Bareiss elimination instead of sparse integer
 elimination, Fraction-valued pencils and tangent matrices instead of
 integer ones, the Demmel-Edelman sum over pairs of blocks instead of the
 Weyr-characteristic codimension formula, direct block-multiset
-search instead of the budgeted structure enumerator, a fresh
-breadth-first search per source or path question instead of the rule
-graph, a triple-loop transitive reduction instead of the bitset one, and
-a depth-first transitive closure of the Hasse edges.
+search instead of the budgeted structure enumerator, moves applied to
+block lists of labelled pairs instead of the rule graph's plain-int
+encoding, a fresh breadth-first search per source or path question
+instead of the rule graph, a triple-loop transitive reduction instead
+of the bitset one, and a depth-first transitive closure of the Hasse
+edges.
 """
 
 import math
@@ -18,11 +20,12 @@ import random
 import re
 from collections import deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 
 from hypothesis import strategies as st
 
 from kcforbits import rules
+from kcforbits.rules import RuleInstance
 from kcforbits.closure import degenerates_to
 from kcforbits.core import (
     INFINITY,
@@ -31,6 +34,7 @@ from kcforbits.core import (
     codimension,
     eigenvalues,
     finite,
+    partitions_desc,
     size_of,
 )
 from kcforbits.pencils import RationalPencil
@@ -231,6 +235,113 @@ def reference_invariants(K):
             "labels": labels, "weyr": weyr, "codim": codim}
 
 
+def _consumed_produced(inst):
+    """Blocks removed and added by ``inst``, as (jordan, right, left) triples."""
+    rid, j, k, mu = inst.rule_id, inst.j, inst.k, inst.mu
+    if rid == 1:
+        return ((), (j - 1, k + 1), ()), ((), (j, k), ())
+    if rid == 2:
+        return ((), (), (j - 1, k + 1)), ((), (), (j, k))
+    if rid == 3:
+        produced_j = ((mu, k),) if k >= 1 else ()
+        return (((mu, k + 1),), (j,), ()), (produced_j, (j + 1,), ())
+    if rid == 4:
+        produced_j = ((mu, k),) if k >= 1 else ()
+        return (((mu, k + 1),), (), (j,)), (produced_j, (), (j + 1,))
+    if rid == 5:
+        produced_j = ((mu, k + 1),) if j == 1 else ((mu, j - 1), (mu, k + 1))
+        return (((mu, j), (mu, k)), (), ()), (produced_j, (), ())
+    produced_j = tuple((lbl, s) for s, lbl in inst.parts)
+    return ((), (inst.p,), (inst.q,)), (produced_j, (), ())
+
+
+def list_apply_rule(K, inst):
+    """One move on block lists of labelled pairs: remove the consumed
+    blocks, add the produced ones, build the structure."""
+    consumed, produced = _consumed_produced(inst)
+    jordan, right, left = list(K.jordan), list(K.right), list(K.left)
+    for pool, wanted in ((jordan, consumed[0]), (right, consumed[1]), (left, consumed[2])):
+        for item in wanted:
+            pool.remove(item)
+    jordan.extend(produced[0])
+    right.extend(produced[1])
+    left.extend(produced[2])
+    out = KroneckerStructure(jordan, right, left)
+    assert size_of(out) == size_of(K)
+    return out
+
+
+def _list_rule6_parts(total, existing, fresh):
+    """Rule-6 part multisets of (size, label), one per coincidence pattern,
+    with ``fresh`` labels drawn as a prefix of the list."""
+    existing = list(existing)
+    out = set()
+    for partition in partitions_desc(total):
+        groups = [(s, len(list(g))) for s, g in groupby(partition)]
+
+        def rec(gi, used, fresh_used, acc):
+            if gi == len(groups):
+                out.add(tuple(sorted(acc, key=lambda t: (-t[0], t[1].sort_key()))))
+                return
+            size, count = groups[gi]
+            available = [lbl for lbl in existing if lbl not in used]
+            for picked in range(count + 1):
+                wanted_fresh = count - picked
+                if fresh_used + wanted_fresh > len(fresh):
+                    continue
+                for combo in combinations(available, picked):
+                    labels = list(combo) + fresh[fresh_used:fresh_used + wanted_fresh]
+                    rec(gi + 1, used | set(combo), fresh_used + wanted_fresh,
+                        acc + [(size, lbl) for lbl in labels])
+
+        rec(0, frozenset(), 0, [])
+    return sorted(out, key=lambda parts: tuple((s, lbl.sort_key()) for s, lbl in parts))
+
+
+def list_instances(K, existing, fresh):
+    """Every applicable ``RuleInstance``, built as objects and sorted by
+    ``RuleInstance.sort_key``; rule-6 labels come from the given candidates."""
+    out = []
+    right_values = sorted(set(K.right))
+    left_values = sorted(set(K.left))
+    jordan_values = list(dict.fromkeys(K.jordan))  # K.jordan is sorted
+    for a in right_values:
+        for b in right_values:
+            if b >= a + 2:
+                out.append(RuleInstance(1, j=a + 1, k=b - 1))
+    for a in left_values:
+        for b in left_values:
+            if b >= a + 2:
+                out.append(RuleInstance(2, j=a + 1, k=b - 1))
+    for a in right_values:
+        for mu, s in jordan_values:
+            out.append(RuleInstance(3, j=a, k=s - 1, mu=mu))
+    for a in left_values:
+        for mu, s in jordan_values:
+            out.append(RuleInstance(4, j=a, k=s - 1, mu=mu))
+    for mu in eigenvalues(K):
+        sizes = sorted({s for lbl, s in K.jordan if lbl == mu})
+        counts = {s: sum(1 for lbl, t in K.jordan if lbl == mu and t == s) for s in sizes}
+        for sj in sizes:
+            for sk in sizes:
+                if sj < sk or (sj == sk and counts[sj] >= 2):
+                    out.append(RuleInstance(5, j=sj, k=sk, mu=mu))
+    for p in right_values:
+        for q in left_values:
+            for parts in _list_rule6_parts(p + q + 1, existing, fresh):
+                out.append(RuleInstance(6, p=p, q=q, parts=parts))
+    return sorted(out, key=RuleInstance.sort_key)
+
+
+def list_successors(K, universe):
+    """``[(child, first instance giving it)]`` of ``K`` in sorted-instance
+    order, every universe label a concrete rule-6 candidate."""
+    kids = {}
+    for inst in list_instances(K, universe, []):
+        kids.setdefault(list_apply_rule(K, inst), inst)
+    return list(kids.items())
+
+
 def bfs_reachable_structures(M, fresh_labels):
     """Every structure rule-reachable from ``M``, by a fresh breadth-first
     search over the eigenvalues of ``M`` plus ``fresh_labels``."""
@@ -240,8 +351,7 @@ def bfs_reachable_structures(M, fresh_labels):
     queue = deque([M])
     while queue:
         state = queue.popleft()
-        for inst in rules._search_instances(state, universe):
-            child = rules.apply_rule(state, inst)
+        for child, _ in list_successors(state, universe):
             assert codimension(child) < codimension(state)
             if child not in visited:
                 visited.add(child)
@@ -267,8 +377,7 @@ def bfs_reachable_path(M, L, prune=True):
         state = queue.popleft()
         if codimension(state) <= target_codim:
             continue
-        for inst in rules._search_instances(state, universe):
-            child = rules.apply_rule(state, inst)
+        for child, inst in list_successors(state, universe):
             assert codimension(child) < codimension(state)
             if child in parents:
                 continue

@@ -30,6 +30,24 @@ GOLDEN = [
      "1eb18b27f07b6cd9f32e6c9ef0e940ec644ceecffbd1ae1947c7248678ea8008"),
     (("verify", "4", "5", "--checks", "rules", "--json"), 0,
      "a35101b4fe3021934b38063e913feaed636167b1a2177fa46fbeb55e68145662"),
+    # the rule graph: the suite at 4x4, and path answers with rule-6 steps,
+    # without pruning, in text form, and with no path at all
+    (("verify", "4", "4", "--checks", "rules", "--json"), 0,
+     "4c222eb7f5efd7ffe1bafd60b2d01d8df776a779d1eaf5ca30f2bfcb1d4f631d"),
+    (("path", "L(0) + L(1) + LT(0) + LT(1)", "J(2;e1) + J(1;e2) + J(1;inf)", "--json"), 0,
+     "e619c70f0aa1261a2d30913fdfaa5440a2f83b0601759fa0ea62dee2f8ff8476"),
+    (("path", "L(0) + L(0) + LT(1) + LT(1) + J(1;e1)",
+      "J(2;e1) + J(1;e2) + J(1;e3) + J(1;inf)", "--no-prune", "--json"), 0,
+     "ebd2e0e74d4f1f275289ed05c96e262f94f4be5269c738bbf10f401c0f9dc4ae"),
+    (("path", "L(0) + L(0) + LT(1) + LT(1) + J(1;e1)",
+      "J(2;e1) + J(1;e2) + J(1;e3) + J(1;inf)"), 0,
+     "7deedd1de5fe8861c53ce6d2f255a2b459dbafad45bbd204b90ea47c02e24d4b"),
+    (("path", "J(1;e1) + J(1;e1) + J(1;inf) + L(0) + LT(0)",
+      "J(1;e3) + J(2;e3) + J(1;e4)", "--json"), 3,
+     "f09e440b8269d4ecf31ea03ec62c8b619cc16503d6382634626d71c5088a69e3"),
+    (("path", "J(1;e1) + J(1;e1) + J(1;inf) + L(0) + LT(0)",
+      "J(1;e3) + J(2;e3) + J(1;e4)", "--no-prune", "--json"), 3,
+     "f09e440b8269d4ecf31ea03ec62c8b619cc16503d6382634626d71c5088a69e3"),
     # the e1 condition fails, the e2 condition holds
     (("closure", "J(1;e1) + L(1)", "J(1;e2) + L(1)"), 3,
      "8790150620560fe7fe332ea39866a40c89bb76fb9fe77238498fd7bc436c2072"),

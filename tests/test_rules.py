@@ -3,7 +3,13 @@ import sys
 
 import pytest
 
-from conftest import bfs_reachable_path, bfs_reachable_structures
+from conftest import (
+    bfs_reachable_path,
+    bfs_reachable_structures,
+    list_apply_rule,
+    list_instances,
+    list_successors,
+)
 from kcforbits import rules
 from kcforbits.closure import degenerates_to
 from kcforbits.core import (
@@ -156,6 +162,18 @@ class TestApplicableInstances:
                 assert len(set(labels)) == len(labels)
 
 
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 4) for n in range(1, 4)])
+def test_applicable_instances_match_object_oracle(m, n):
+    for K in enumerate_structures(m, n):
+        evs = list(eigenvalues(K))
+        fresh = [finite(100 + i) for i in range(min(m, n))]
+        insts = applicable_instances(K, evs + [INFINITY] + fresh)
+        existing = evs + ([] if INFINITY in evs else [INFINITY])
+        assert insts == list_instances(K, existing, fresh), str(K)
+        for inst in insts:
+            assert apply_rule(K, inst) == list_apply_rule(K, inst), (str(K), inst)
+
+
 class TestReachable:
     def test_one_step_rule6(self):
         path = reachable(ZERO_1x1, S(jordan=[(e1, 1)]))
@@ -239,13 +257,13 @@ def _all_pairs(m, n):
 @pytest.mark.parametrize("prune", [True, False])
 def test_search_expands_only_structures_above_target(monkeypatch, prune):
     expanded = []
-    search = rules._search_instances
+    expand = RuleGraph.successors
 
-    def recording(state, universe):
-        expanded.append(state)
-        return search(state, universe)
+    def recording(graph, i, source):
+        expanded.append(graph.structure(i))
+        return expand(graph, i, source)
 
-    monkeypatch.setattr(rules, "_search_instances", recording)
+    monkeypatch.setattr(RuleGraph, "successors", recording)
     for M, L in _all_pairs(3, 3):
         expanded.clear()
         reachable(M, L, prune=prune)
@@ -345,17 +363,32 @@ def test_shared_graph_matches_per_source_bfs(m, n, include_infinity):
         assert reached == bfs_reachable_structures(M, search_labels), str(M)
 
 
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 6)])
+def test_encoded_successors_match_object_expansion(m, n):
+    # every node of every suite graph: the same children, the same first
+    # instance per child and the same order as the moves built as objects
+    graphs = {}
+    for M, _, universe in _suite_sources(m, n, True):
+        graphs.setdefault(universe, RuleGraph(universe)).descendants(M)
+    for universe, graph in graphs.items():
+        for i in range(len(graph.nodes)):
+            K = graph.structure(i)
+            encoded = [(graph.structure(k), graph.instance(move))
+                       for k, move in graph.successors(i, K).items()]
+            assert encoded == list_successors(K, universe), str(K)
+
+
 def test_rules_suite_expands_each_node_once(monkeypatch):
     calls = []
-    search = rules._search_instances
+    expand = RuleGraph.successors
 
-    def counting(state, universe):
-        calls.append((state, frozenset(universe)))
-        return search(state, universe)
+    def counting(graph, i, source):
+        calls.append((graph.structure(i), frozenset(graph.universe)))
+        return expand(graph, i, source)
 
-    monkeypatch.setattr(rules, "_search_instances", counting)
+    monkeypatch.setattr(RuleGraph, "successors", counting)
     assert cross_validate_characterizations(3, 3).passed
-    monkeypatch.setattr(rules, "_search_instances", search)
+    monkeypatch.setattr(RuleGraph, "successors", expand)
     expected = set()
     for M, search_labels, universe in _suite_sources(3, 3, True):
         expected.update((K, universe) for K in bfs_reachable_structures(M, search_labels))
@@ -371,7 +404,14 @@ def test_rules_suite_budget():
 class TestInvariantChecks:
     def test_rule_graph_checks_descent(self, monkeypatch):
         target = S(jordan=[(e1, 1), (e2, 1)])
-        monkeypatch.setattr(rules, "codimension", lambda K: -1 if K == target else 0)
+        encoded = (((1, 1), (2, 1)), (), ())  # the graph's encoding of target
+        real = rules.block_invariants
+
+        def codimension(*blocks):
+            size, r, ell, weyr, _ = real(*blocks)
+            return size, r, ell, weyr, -1 if blocks == encoded else 0
+
+        monkeypatch.setattr(rules, "block_invariants", codimension)
         with pytest.raises(InvariantViolationError):
             reachable_structures(ZERO_1x1)
         with pytest.raises(InvariantViolationError):
@@ -390,7 +430,7 @@ class TestInvariantChecks:
             "from kcforbits.errors import InvariantViolationError\n"
             "from kcforbits.cli import main\n"
             "assert False, 'asserts must be stripped here'\n"
-            "rules.codimension = lambda K: 0\n"
+            "rules.block_invariants = lambda *blocks: ((0, 0), (), (), (), 0)\n"
             "try:\n"
             "    rules.reachable_structures(KroneckerStructure(right=[0], left=[0]))\n"
             "except InvariantViolationError:\n"
