@@ -10,12 +10,9 @@ in the closure of the orbit of L, i.e. pencils with structure L can
 degenerate to the more special structure M.
 """
 
-from bisect import bisect_right
-from collections import defaultdict
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate
-from operator import or_
 
 from .core import (
     EigenvalueLabel,
@@ -25,7 +22,6 @@ from .core import (
     rank_of,
     size_of,
     weyr_jordan,
-    weyr_jordan_pairs,
     weyr_singular,
 )
 from .errors import DuplicateNodeError, InvariantViolationError, SizeMismatchError
@@ -148,8 +144,8 @@ def set_bits(bits: int):
         bits ^= low
 
 
-def _profile_columns(structures: list, lengths: tuple):
-    """The integer profiles of ``structures``, one coordinate at a time.
+def _profile_columns(records: list, lengths: tuple):
+    """The integer profiles of invariant ``records``, one coordinate at a time.
 
     The closure order is the componentwise order of these profiles.  With
     h = rank L - rank M, each condition P_j(lower) <= P_j(upper) + j*h of
@@ -162,22 +158,24 @@ def _profile_columns(structures: list, lengths: tuple):
     length of ``lower`` its prefix sum stays constant while the shifted
     right-hand side keeps growing.
     """
-    ranks = [rank_of(K) for K in structures]
+    ranks = [rec.rank for rec in records]
     yield [-rank for rank in ranks]
     kr, kl, weyr_lengths = lengths
-    by_label = {mu: [()] * len(structures) for mu, _ in weyr_lengths}
-    for i, K in enumerate(structures):
-        for mu, seq in weyr_jordan_pairs(K):
+    by_label = {mu: [()] * len(records) for mu, _ in weyr_lengths}
+    for i, rec in enumerate(records):
+        for mu, seq in rec.weyr:
             by_label[mu][i] = seq
-    parts = [(-1, kr, [weyr_singular(K, "right") for K in structures]),
-             (-1, kl, [weyr_singular(K, "left") for K in structures])]
+    parts = [(-1, kr, [rec.r for rec in records]), (-1, kl, [rec.l for rec in records])]
     parts += [(1, k, by_label[mu]) for mu, k in weyr_lengths]
     for sign, k, seqs in parts:
-        column = [0] * len(structures)
-        for j in range(k):
-            column = [value + sign * (seq[j] if j < len(seq) else 0) - rank
-                      for value, seq, rank in zip(column, seqs, ranks)]
-            yield column
+        # one row of k values per distinct (sequence, rank), then transposed
+        rows = {}
+        for key in zip(seqs, ranks):
+            if key not in rows:
+                seq, rank = key
+                sums = accumulate(seq + (0,) * (k - len(seq)))
+                rows[key] = [sign * total - j * rank for j, total in enumerate(sums, 1)]
+        yield from zip(*[rows[key] for key in zip(seqs, ranks)])
 
 
 def _dominated(universe, queries, size: int, count: int) -> list:
@@ -185,20 +183,49 @@ def _dominated(universe, queries, size: int, count: int) -> list:
     coordinate, for ``size`` universe items and ``count`` queries given as
     matching profile columns.
 
-    Each coordinate groups the universe by value and keeps, per distinct
-    value, the bitset of the items at or below it; a query then costs one
-    ``bisect`` and one AND per coordinate.
+    Per coordinate, the distinct query thresholds are taken up to 255 at a
+    time, and each item becomes one byte: the number of those thresholds
+    below its value.  The items at or below the q-th threshold are then the
+    bytes <= q, read as a bitset by one ``translate`` and one base-2 parse,
+    with item 0 the last byte, so no item is visited in Python.
     """
     related = [(1 << size) - 1] * count
     for column, thresholds in zip(universe, queries):
-        # one bit per item, set byte by byte: linear in the universe size
-        at = defaultdict(partial(bytearray, (size + 7) // 8))
-        for i, value in enumerate(column):
-            at[value][i >> 3] |= 1 << (i & 7)
-        keys = sorted(at)
-        below = [0, *accumulate((int.from_bytes(at[key], "little") for key in keys), or_)]
-        related = [bits & below[bisect_right(keys, t)] for bits, t in zip(related, thresholds)]
+        needed = sorted(set(thresholds))
+        below = {}
+        for start in range(0, len(needed), 255):
+            chunk = needed[start:start + 255]
+            count_below = {value: bisect_left(chunk, value) for value in set(column)}
+            data = bytes(map(count_below.__getitem__, reversed(column)))
+            for q, threshold in enumerate(chunk):
+                at_most = b"1" * (q + 1) + b"0" * (255 - q)  # byte b -> "1" iff b <= q
+                below[threshold] = int(b"0" + data.translate(at_most), 2)
+        related = [bits & below[t] for bits, t in zip(related, thresholds)]
     return related
+
+
+def closure_records(sources: list, targets: list) -> list:
+    """:func:`closure_bitsets` on invariant records instead of structures.
+
+    A record carries ``size``, ``rank``, ``r``, ``l`` and ``weyr`` as a
+    structure's invariants do (``weyr`` as (label, sequence) pairs); the
+    labels are only compared for equality, so any hashable codes serve,
+    provided sources and targets share them.
+    """
+    batch = sources + targets
+    weyr = {}
+    for rec in batch:
+        if rec.size != batch[0].size:
+            raise SizeMismatchError(f"cannot compare {batch[0].size} with {rec.size}")
+        for mu, seq in rec.weyr:
+            weyr[mu] = max(weyr.get(mu, 0), len(seq))
+    lengths = (
+        max((len(rec.r) for rec in batch), default=0),
+        max((len(rec.l) for rec in batch), default=0),
+        tuple(weyr.items()),
+    )
+    return _dominated(_profile_columns(sources, lengths),
+                      _profile_columns(targets, lengths), len(sources), len(targets))
 
 
 def closure_bitsets(sources, targets) -> list:
@@ -211,23 +238,13 @@ def closure_bitsets(sources, targets) -> list:
     W(mu) for every label mu of the batch, each shifted by j times its
     rank.  The related sources of a target are then the profiles below its
     own in every coordinate, found by one threshold lookup per coordinate,
-    so no pair is tested on its own.
+    so no pair is tested on its own.  The profiles are read from the
+    carried invariants through :func:`closure_records`, which the verifier
+    also feeds with encoded re-embeddings that are never built as
+    structures.
     """
-    sources, targets = list(sources), list(targets)
-    batch = sources + targets
-    weyr = {}
-    for K in batch:
-        if size_of(K) != size_of(batch[0]):
-            raise SizeMismatchError(f"cannot compare {size_of(batch[0])} with {size_of(K)}")
-        for mu, seq in weyr_jordan_pairs(K):
-            weyr[mu] = max(weyr.get(mu, 0), len(seq))
-    lengths = (
-        max((len(weyr_singular(K, "right")) for K in batch), default=0),
-        max((len(weyr_singular(K, "left")) for K in batch), default=0),
-        tuple(weyr.items()),
-    )
-    return _dominated(_profile_columns(sources, lengths),
-                      _profile_columns(targets, lengths), len(sources), len(targets))
+    return closure_records([K._invariants() for K in sources],
+                           [K._invariants() for K in targets])
 
 
 @dataclass(frozen=True)

@@ -277,11 +277,12 @@ class RuleGraph:
 
     A node is ``(jordan, right, left)``: sorted (code, size) pairs, where
     ``e<i>`` is coded ``i`` and infinity one above the universe's largest
-    finite id, so codes sort as the labels do; then the sorted singular
-    sizes.  A move is ``(rule, j, k, p, q, mu, parts)``, mu -1 when absent,
-    so tuple order is :meth:`RuleInstance.sort_key` order.  ``nodes``,
-    ``codims`` and ``sizes`` hold each node's key, codimension and (m, n),
-    computed once; :meth:`structure` and :meth:`instance` decode answers.
+    finite id (``inf``), so codes sort as the labels do; then the sorted
+    singular sizes.  A move is ``(rule, j, k, p, q, mu, parts)``, mu -1
+    when absent, so tuple order is :meth:`RuleInstance.sort_key` order.
+    ``nodes``, ``codims`` and ``sizes`` hold each node's key, codimension
+    and (m, n), computed once; :meth:`structure` and :meth:`instance`
+    decode answers, and :meth:`find` looks a key up without adding it.
 
     Every universe label is a concrete rule-6 candidate, so the moves out
     of a structure depend on it and the universe alone: each structure is
@@ -297,6 +298,7 @@ class RuleGraph:
         self.max_expansions = max_expansions
         self.expansions = 0
         inf = 1 + max([lbl.id for lbl in self.universe if not lbl.is_infinite], default=0)
+        self.inf = inf
         self._codes = {lbl: inf if lbl.is_infinite else lbl.id for lbl in self.universe}
         self._labels = {c: lbl for lbl, c in self._codes.items()}
         self._parts = {}  # rule-6 part tuples by total size
@@ -313,11 +315,16 @@ class RuleGraph:
         return RuleInstance(rid, j, k, self._labels.get(mu), p, q,
                             tuple([(s, self._labels[c]) for s, c in parts]))
 
-    def node(self, K: KroneckerStructure, rename=None) -> int:
-        """Index of ``K`` with its labels renamed by ``rename``; new ones unexpanded."""
-        rename, codes = rename or {}, self._codes
-        jordan = tuple(sorted([(codes[rename.get(lbl, lbl)], s) for lbl, s in K.jordan]))
+    def node(self, K: KroneckerStructure) -> int:
+        """Index of ``K``; a new node is added unexpanded."""
+        codes = self._codes
+        jordan = tuple(sorted([(codes[lbl], s) for lbl, s in K.jordan]))
         return self._node((jordan, K.right, K.left))
+
+    def find(self, key):
+        """Index of the node with encoded ``key``, or None when no search has
+        reached it; adds no node."""
+        return self._index.get(key)
 
     def _node(self, key) -> int:
         idx = self._index.get(key)

@@ -18,15 +18,17 @@ structures coincide.  Reports are deterministic for fixed inputs.
 """
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import count, groupby
+from operator import itemgetter
+from typing import NamedTuple
 
 from . import rules
 from .closure import (
-    closure_bitsets,
+    closure_records,
     majorization_conditions,
     majorization_report,
-    same_orbit,
     set_bits,
 )
 from .core import (
@@ -38,10 +40,10 @@ from .core import (
     partition_multisets,
     partitions_desc,
     rank_of,
-    relabel,
     size_of,
     structure_sort_key,
     weyr_jordan,
+    weyr_jordan_pairs,
     weyr_singular,
 )
 from .errors import EnumerationLimitExceededError, InvalidSizeError
@@ -205,31 +207,111 @@ def _regular_parts(total: int, pool_size: int, include_infinity: bool):
     return out
 
 
+class _Matched(NamedTuple):
+    """One label matching, encoded: the structure is never built.
+
+    ``key`` is ``(jordan, right, left)`` with sorted (code, size) pairs,
+    ``e<i>`` coded ``i`` and infinity coded above every finite id in use, so
+    keys sort as :func:`structure_sort_key` does; equal keys are the same
+    orbit.  The other fields are the invariants :func:`closure_records`
+    and the suites read, those of the matched node with ``weyr`` renamed.
+    """
+
+    key: tuple
+    size: tuple
+    rank: int
+    r: tuple
+    l: tuple
+    weyr: tuple
+    codim: int
+
+
+def _infinity_code(label_sets) -> int:
+    """A code for infinity above every finite id that matchings among
+    ``label_sets`` can use: the ids themselves and the fresh ids after them."""
+    ids, most = [0], 0
+    for labels in label_sets:
+        finite_ids = [lbl.id for lbl in labels if not lbl.is_infinite]
+        ids += finite_ids
+        most = max(most, len(finite_ids))
+    return 1 + max(ids) + most
+
+
+def _encode(K: KroneckerStructure, inf: int) -> _Matched:
+    """``K`` as its own matching, with infinity coded ``inf``."""
+    def code(lbl):
+        return inf if lbl.is_infinite else lbl.id
+
+    return _Matched(
+        (tuple([(code(lbl), s) for lbl, s in K.jordan]), K.right, K.left),
+        size_of(K), rank_of(K), weyr_singular(K, "right"), weyr_singular(K, "left"),
+        tuple([(code(mu), seq) for mu, seq in weyr_jordan_pairs(K)]), codimension(K),
+    )
+
+
+def _decode(key, inf: int) -> KroneckerStructure:
+    """The structure of an encoded ``key``, with infinity coded ``inf``."""
+    jordan, right, left = key
+    return KroneckerStructure([(INFINITY if c == inf else finite(c), s) for c, s in jordan],
+                              right, left)
+
+
+def _matchings(node: _Matched, labels: tuple, inf: int) -> list:
+    """The label matchings of an encoded ``node`` against the sorted codes
+    ``labels``, encoded and in key order.
+
+    Each is an injective partial map from the node's finite codes into the
+    finite ``labels``, with the rest sent, in code order, to the fresh ids
+    ``base, base + 1, ...`` above every target and node id; infinity stays
+    ``inf``.  Maps giving the same jordan key are one matching.  A key is
+    fixed by the block sizes each target receives and the sequence of
+    sizes sent to fresh ids, so the finite labels are placed one at a time
+    and equal partial placements are merged, never listing a map twice.
+    """
+    jordan, right, left = node.key
+    runs = [(c, tuple([s for _, s in run])) for c, run in groupby(jordan, key=itemgetter(0))]
+    weyr_of = {sizes: seq for (_, sizes), (_, seq) in zip(runs, node.weyr)}
+    targets = [c for c in labels if c != inf]
+    base = 1 + max([c for c, _ in runs if c != inf] + targets, default=0)
+    states = {((None,) * len(targets), ())}  # (sizes per target, sizes per fresh id)
+    for c, sizes in runs:
+        if c == inf:
+            continue
+        grown = set()
+        for placed, fresh in states:
+            grown.add((placed, fresh + (sizes,)))
+            for p, taken in enumerate(placed):
+                if taken is None:
+                    grown.add((placed[:p] + (sizes,) + placed[p + 1:], fresh))
+        states = grown
+    out = []
+    for placed, fresh in states:
+        blocks = [(c, sizes) for c, sizes in zip(targets, placed) if sizes is not None]
+        blocks += zip(count(base), fresh)
+        blocks += [(c, sizes) for c, sizes in runs if c == inf]
+        out.append(_Matched((tuple([(c, s) for c, sizes in blocks for s in sizes]), right, left),
+                            node.size, node.rank, node.r, node.l,
+                            tuple([(c, weyr_of[sizes]) for c, sizes in blocks]), node.codim))
+    out.sort(key=itemgetter(0))
+    return out
+
+
 def label_matchings(K: KroneckerStructure, target_labels) -> list:
     """Relabelings of ``K`` realizing every eigenvalue-coincidence pattern
     against ``target_labels``.
 
     Each finite label of ``K`` is either matched injectively to one of
     the target labels or kept disjoint from all of them; unmatched labels
-    are renamed to a fixed fresh sequence above the targets, one
-    representative per pattern.  The infinity label always matches
-    itself.  Deduplicated, deterministic order.
+    are renamed to a fixed fresh sequence above the targets and above the
+    labels of ``K``, one representative per pattern.  The infinity label
+    always matches itself.  Deduplicated, in :func:`structure_sort_key`
+    order.  The verifier runs the same matcher on integer codes and never
+    builds these structures; here they are decoded.
     """
-    src = [lbl for lbl in eigenvalues(K) if not lbl.is_infinite]
-    tgt = sorted({lbl for lbl in target_labels if not lbl.is_infinite},
-                 key=lambda l: l.sort_key())
-    base = 1 + max((lbl.id for lbl in tgt), default=0)
-    base = max(base, 1 + max((lbl.id for lbl in src), default=0))
-    results = {}
-    for k in range(min(len(src), len(tgt)) + 1):
-        for subset in combinations(src, k):
-            for image in permutations(tgt, k):
-                mapping = dict(zip(subset, image))
-                fresh = (lbl for lbl in src if lbl not in mapping)
-                for i, lbl in enumerate(fresh):
-                    mapping[lbl] = finite(base + i)
-                results.setdefault(relabel(K, mapping), None)
-    return sorted(results, key=structure_sort_key)
+    target_labels = list(target_labels)
+    targets = tuple(sorted({lbl.id for lbl in target_labels if not lbl.is_infinite}))
+    inf = _infinity_code([eigenvalues(K), target_labels])
+    return [_decode(L.key, inf) for L in _matchings(_encode(K, inf), targets, inf)]
 
 
 def _matchings_count(src_count: int, tgt_count: int) -> int:
@@ -247,11 +329,12 @@ def _matchings_count(src_count: int, tgt_count: int) -> int:
 
 def _pair_budget(nodes, max_pairs):
     """Upper bound on pair instances; fail fast when over budget."""
-    finite_counts = [sum(1 for lbl in eigenvalues(K) if not lbl.is_infinite) for K in nodes]
+    finite_counts = Counter(sum(1 for lbl in eigenvalues(K) if not lbl.is_infinite)
+                            for K in nodes)
     total = 0
-    for cl in finite_counts:
-        for cm in finite_counts:
-            total += _matchings_count(cl, cm)
+    for cl, l_nodes in finite_counts.items():
+        for cm, m_nodes in finite_counts.items():
+            total += l_nodes * m_nodes * _matchings_count(cl, cm)
             if total > max_pairs:
                 raise EnumerationLimitExceededError(
                     f"pair budget {max_pairs} exceeded ({len(nodes)} nodes)"
@@ -259,28 +342,33 @@ def _pair_budget(nodes, max_pairs):
     return total
 
 
-def _closure_rows(nodes, max_pairs):
+def _closure_rows(nodes, max_pairs, inf):
     """(M, sources, related) for every node M, in node order.
 
-    ``sources`` are the ``label_matchings`` of every node against M's
-    eigenvalue set, in node order; bit k of ``related`` is
-    ``degenerates_to(sources[k], M)``.  Both depend only on that set, so
-    each set is matched once and decided by one :func:`closure_bitsets`
-    batch over all of its nodes.
+    ``sources`` are the label matchings of every node against M's
+    eigenvalue set, in node order, as encoded :class:`_Matched` records
+    with infinity coded ``inf`` (:func:`_decode` builds one); bit k of
+    ``related`` is ``degenerates_to`` of source k and M.  Both depend only
+    on that set, so each set is matched once, one :func:`_matchings` call
+    per node, and decided by one :func:`closure_records` batch over all of
+    its nodes.
     """
     _pair_budget(nodes, max_pairs)
+    encoded = [_encode(M, inf) for M in nodes]
     groups = {}
-    for M in nodes:
-        groups.setdefault(eigenvalues(M), []).append(M)
+    for i, M in enumerate(nodes):
+        groups.setdefault(eigenvalues(M), []).append(i)
     matched = {}
     related = {}
-    for M in nodes:
+    for i, M in enumerate(nodes):
         m_labels = eigenvalues(M)
         if m_labels not in matched:
-            matched[m_labels] = [L for L0 in nodes for L in label_matchings(L0, m_labels)]
-            related.update(zip(groups[m_labels],
-                               closure_bitsets(matched[m_labels], groups[m_labels])))
-        yield M, matched[m_labels], related[M]
+            labels = tuple([mu for mu, _ in encoded[i].weyr])
+            matched[m_labels] = [L for node in encoded for L in _matchings(node, labels, inf)]
+            group = groups[m_labels]
+            related.update(zip(group, closure_records(matched[m_labels],
+                                                      [encoded[j] for j in group])))
+        yield M, matched[m_labels], related.pop(i)
 
 
 def verify_codimension_monotonicity(
@@ -299,24 +387,29 @@ def verify_codimension_monotonicity(
     """
     start = time.monotonic()
     nodes = enumerate_structures(m, n, pool_size, include_infinity)
+    inf = _infinity_code(map(eigenvalues, nodes))
     tracker = _Tracker()
     pair_count = 0
-    for M, sources, related in _closure_rows(nodes, max_pairs):
+    for M, sources, related in _closure_rows(nodes, max_pairs, inf):
         pair_count += len(sources)
+        target = _encode(M, inf)
+        cm = target.codim
         for k in set_bits(related):
             L = sources[k]
-            cl, cm = codimension(L), codimension(M)
+            cl = L.codim
 
             def info():
-                return {"L": str(L), "M": str(M), "codim_L": cl, "codim_M": cm,
-                        "h": rank_of(L) - rank_of(M)}
+                return {"L": str(_decode(L.key, inf)), "M": str(M), "codim_L": cl,
+                        "codim_M": cm, "h": L.rank - target.rank}
 
             tracker.record("codim_monotone", cl <= cm, info)
+            # same orbit: equal blocks, labels compared as concrete identities
             tracker.record("codim_equality_iff_same_orbit",
-                           (cl == cm) == same_orbit(L, M), info)
+                           (cl == cm) == (L.key == target.key), info)
             if cl == cm:
-                ok = rank_of(L) == rank_of(M) and all(
-                    lower == upper for _, lower, upper in majorization_conditions(L, M)
+                ok = L.rank == target.rank and all(
+                    lower == upper
+                    for _, lower, upper in majorization_conditions(_decode(L.key, inf), M)
                 )
                 tracker.record("equality_forces_equal_majorizations", ok, info)
     checks = tracker.results([
@@ -350,19 +443,23 @@ def cross_validate_characterizations(
     consulting majorizations; ``max_expansions`` bounds each graph.  Every
     re-embedded target L is then tested for membership in M's descendant
     bitset and compared with ``degenerates_to(L, M)``, read from one
-    :func:`closure_bitsets` batch per eigenvalue set.  The targets and
-    their graph indices are computed once per eigenvalue set.
+    :func:`closure_records` batch per eigenvalue set.  The targets are
+    encoded in the graph's codes once per eigenvalue set and looked up in
+    its index without being added: a key the graph lacks after expanding
+    M is not reachable from M.
     """
     start = time.monotonic()
     nodes = enumerate_structures(m, n, pool_size, include_infinity)
-    # label_matchings re-embeds unmatched labels right above the targets,
-    # so the reservoir must start there too
+    inf = _infinity_code(map(eigenvalues, nodes))
+    # the matchings re-embed unmatched labels right above the targets, so
+    # the reservoir must start there too
     reservoir = rules._fresh_reservoir(min(m, n), map(eigenvalues, nodes))
     search_labels = tuple(reservoir) + ((INFINITY,) if include_infinity else ())
-    graphs, indexed = {}, {}
+    fresh_ids = [lbl.id for lbl in reservoir]
+    graphs, embedded = {}, {}
     tracker = _Tracker()
     pair_count = 0
-    for M, sources, related in _closure_rows(nodes, max_pairs):
+    for M, sources, related in _closure_rows(nodes, max_pairs, inf):
         m_labels = eigenvalues(M)
         universe = dict.fromkeys(m_labels + search_labels)
         key = frozenset(universe)
@@ -370,19 +467,22 @@ def cross_validate_characterizations(
             graphs[key] = rules.RuleGraph(universe, max_expansions)
         graph = graphs[key]
         reached = graph.descendants(M)
-        if m_labels not in indexed:
-            shared = set(m_labels)
-            indexed[m_labels] = [graph.node(L, _embed_fresh(L, shared, reservoir))
-                                 for L in sources]
+        if m_labels not in embedded:
+            shared = {lbl.id for lbl in m_labels if not lbl.is_infinite}
+            embedded[m_labels] = [_embed_fresh(L.key, shared, fresh_ids, inf, graph.inf)
+                                  for L in sources]
         pair_count += len(sources)
-        for k, (L, idx) in enumerate(zip(sources, indexed[m_labels])):
-            via_rules = bool(reached >> idx & 1)
+        for k, (L, graph_key) in enumerate(zip(sources, embedded[m_labels])):
+            # a target the graph has never met is not reached from M
+            idx = graph.find(graph_key)
+            via_rules = idx is not None and bool(reached >> idx & 1)
             via_majorization = bool(related >> k & 1)
 
             def info():
-                report = majorization_report(L, M)
+                structure = _decode(L.key, inf)
+                report = majorization_report(structure, M)
                 return {
-                    "L": str(L),
+                    "L": str(structure),
                     "M": str(M),
                     "majorization": via_majorization,
                     "rule_reachable": via_rules,
@@ -403,10 +503,14 @@ def cross_validate_characterizations(
     )
 
 
-def _embed_fresh(L, shared, reservoir) -> dict:
-    """Renaming of the non-shared finite labels of ``L`` onto the reservoir."""
-    extras = [lbl for lbl in eigenvalues(L) if not lbl.is_infinite and lbl not in shared]
-    return dict(zip(extras, reservoir))
+def _embed_fresh(key, shared, fresh_ids, inf, graph_inf) -> tuple:
+    """Encoded ``key`` in a rule graph's codes: finite codes outside
+    ``shared`` go onto ``fresh_ids`` in order, infinity from ``inf`` to
+    ``graph_inf``."""
+    jordan, right, left = key
+    code = dict(zip(sorted({c for c, _ in jordan if c != inf and c not in shared}), fresh_ids))
+    code[inf] = graph_inf
+    return tuple(sorted([(code.get(c, c), s) for c, s in jordan])), right, left
 
 
 def verify_formula_identities(

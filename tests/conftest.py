@@ -9,7 +9,8 @@ integer ones, the Demmel-Edelman sum over pairs of blocks instead of the
 Weyr-characteristic codimension formula, direct block-multiset
 search instead of the budgeted structure enumerator, moves applied to
 block lists of labelled pairs instead of the rule graph's plain-int
-encoding, a fresh breadth-first search per source or path question
+encoding, label matchings built as relabelled structures instead of on
+integer codes, a fresh breadth-first search per source or path question
 instead of the rule graph, a triple-loop transitive reduction instead
 of the bitset one, and a depth-first transitive closure of the Hasse
 edges.
@@ -20,7 +21,7 @@ import random
 import re
 from collections import deque
 from fractions import Fraction
-from itertools import combinations, groupby
+from itertools import combinations, groupby, permutations
 
 from hypothesis import strategies as st
 
@@ -35,7 +36,9 @@ from kcforbits.core import (
     eigenvalues,
     finite,
     partitions_desc,
+    relabel,
     size_of,
+    structure_sort_key,
 )
 from kcforbits.pencils import RationalPencil
 
@@ -392,6 +395,27 @@ def bfs_reachable_path(M, L, prune=True):
                 return path[::-1]
             queue.append(child)
     return None
+
+
+def relabel_matchings(K, target_labels) -> list:
+    """Label matchings of ``K`` against ``target_labels`` by building every
+    relabelled structure through ``relabel``, deduplicated and sorted by
+    ``structure_sort_key``."""
+    src = [lbl for lbl in eigenvalues(K) if not lbl.is_infinite]
+    tgt = sorted({lbl for lbl in target_labels if not lbl.is_infinite},
+                 key=lambda l: l.sort_key())
+    base = 1 + max((lbl.id for lbl in tgt), default=0)
+    base = max(base, 1 + max((lbl.id for lbl in src), default=0))
+    results = {}
+    for k in range(min(len(src), len(tgt)) + 1):
+        for subset in combinations(src, k):
+            for image in permutations(tgt, k):
+                mapping = dict(zip(subset, image))
+                fresh = (lbl for lbl in src if lbl not in mapping)
+                for i, lbl in enumerate(fresh):
+                    mapping[lbl] = finite(base + i)
+                results.setdefault(relabel(K, mapping), None)
+    return sorted(results, key=structure_sort_key)
 
 
 def closure_relation(graph):

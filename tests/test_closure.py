@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -12,7 +14,7 @@ from kcforbits.closure import (
     same_orbit,
     weakly_majorizes,
 )
-from kcforbits.core import INFINITY, KroneckerStructure, finite, rank_of
+from kcforbits.core import INFINITY, KroneckerStructure, eigenvalues, finite, rank_of
 from kcforbits.errors import DuplicateNodeError, InvariantViolationError, SizeMismatchError
 from kcforbits.verify import enumerate_structures, label_matchings
 
@@ -238,8 +240,10 @@ class TestClosureBitsets:
     def test_suite_pairs(self, m, n):
         # the re-embedded sources of the dim and rules suites, per target
         nodes = enumerate_structures(m, n)
+        inf = verify_mod._infinity_code(map(eigenvalues, nodes))
         rows = 0
-        for M, sources, related in verify_mod._closure_rows(nodes, 10**7):
+        for M, sources, related in verify_mod._closure_rows(nodes, 10**7, inf):
+            sources = [verify_mod._decode(L.key, inf) for L in sources]
             assert related == oracle_bitsets(sources, [M])[0], str(M)
             rows += 1
         assert rows == len(nodes)
@@ -278,3 +282,15 @@ class TestClosureBitsets:
             closure_bitsets([J1], [S(right=[1])])
         with pytest.raises(SizeMismatchError):
             closure_bitsets([J1, S(right=[1])], [])
+
+
+def test_dominated_with_many_distinct_thresholds():
+    # more than 255 distinct query values per coordinate: several byte passes
+    rng = random.Random(5)
+    size, count = 700, 600
+    universe = [[rng.randrange(-400, 400) for _ in range(size)] for _ in range(3)]
+    queries = [[rng.randrange(-450, 450) for _ in range(count)] for _ in range(3)]
+    expected = [sum(all(u[i] <= q[k] for u, q in zip(universe, queries)) << i
+                    for i in range(size)) for k in range(count)]
+    assert closure._dominated(universe, queries, size, count) == expected
+    assert closure._dominated([[]], [[0, 1]], 0, 2) == [0, 0]

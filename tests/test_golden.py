@@ -48,6 +48,14 @@ GOLDEN = [
     (("path", "J(1;e1) + J(1;e1) + J(1;inf) + L(0) + LT(0)",
       "J(1;e3) + J(2;e3) + J(1;e4)", "--no-prune", "--json"), 3,
      "f09e440b8269d4ecf31ea03ec62c8b619cc16503d6382634626d71c5088a69e3"),
+    # the verifier's encoded label matchings: the rules suite at 5x5, and
+    # both pair suites without infinity and with a one-label pool
+    (("verify", "5", "5", "--checks", "rules", "--json"), 0,
+     "f1393a930147125a594227189207a886777cbe7e46cc41b58feeed4fba54592a"),
+    (("verify", "4", "4", "--checks", "dim,rules", "--no-infinity", "--json"), 0,
+     "a586d8e2080c22bdd2a200bdac62c077923e5c275df9767a404a87b61c478625"),
+    (("verify", "4", "5", "--checks", "dim,rules", "--pool", "1", "--json"), 0,
+     "e654711dfab3cc0631f17370cad936c9f759603ada8822af6f08a186237b191d"),
     # the e1 condition fails, the e2 condition holds
     (("closure", "J(1;e1) + L(1)", "J(1;e2) + L(1)"), 3,
      "8790150620560fe7fe332ea39866a40c89bb76fb9fe77238498fd7bc436c2072"),

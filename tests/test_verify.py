@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import brute_force_structures
+from conftest import brute_force_structures, relabel_matchings
 from kcforbits.core import (
     INFINITY,
     KroneckerStructure,
@@ -10,7 +10,10 @@ from kcforbits.core import (
     codimension,
     eigenvalues,
     finite,
+    rank_of,
     size_of,
+    weyr_jordan_pairs,
+    weyr_singular,
 )
 from kcforbits.errors import EnumerationLimitExceededError, InvalidSizeError
 from kcforbits import verify as verify_mod
@@ -162,25 +165,70 @@ class TestSuites:
         assert {"L", "M", "codim_L", "codim_M", "h", "violations"} <= set(example)
 
 
+class TestEncodedMatchings:
+    """The verifier's integer matcher against building every relabelled
+    structure (``conftest.relabel_matchings``)."""
+
+    @pytest.mark.parametrize("pool_size, include_infinity",
+                             [(None, True), (None, False), (1, True)],
+                             ids=["default", "no-infinity", "pool-1"])
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 6) for n in range(1, 6)])
+    def test_decodes_to_relabelled_structures(self, m, n, pool_size, include_infinity):
+        nodes = enumerate_structures(m, n, pool_size, include_infinity)
+        inf = verify_mod._infinity_code(map(eigenvalues, nodes))
+
+        def code(lbl):
+            return inf if lbl.is_infinite else lbl.id
+
+        for labels in dict.fromkeys(eigenvalues(M) for M in nodes):
+            targets = tuple(code(lbl) for lbl in labels)
+            for K in nodes:
+                expected = relabel_matchings(K, labels)
+                encoded = verify_mod._matchings(verify_mod._encode(K, inf), targets, inf)
+                assert [verify_mod._decode(L.key, inf) for L in encoded] == expected, (K, labels)
+                assert label_matchings(K, labels) == expected
+                for L, S in zip(encoded, expected):
+                    # sorted (code, size) pairs: infinity codes above every finite id
+                    assert list(L.key[0]) == sorted(L.key[0])
+                    assert L.key == verify_mod._encode(S, inf).key
+                    assert (L.size, L.rank, L.r, L.l, L.codim) == (
+                        size_of(S), rank_of(S), weyr_singular(S, "right"),
+                        weyr_singular(S, "left"), codimension(S))
+                    assert sorted(L.weyr) == sorted(
+                        (code(mu), seq) for mu, seq in weyr_jordan_pairs(S))
+
+    def test_arbitrary_labels(self):
+        K = S(jordan=[(e1, 1), (e2, 2), (finite(9), 1), (INFINITY, 1)])
+        for targets in ([], [INFINITY], [finite(3)], [finite(3), finite(7), INFINITY],
+                        [e2, finite(12), e1]):
+            assert label_matchings(K, targets) == relabel_matchings(K, targets), targets
+        # e0 is a finite label: its code 0 must not be taken for infinity
+        K = S(jordan=[(finite(0), 1), (INFINITY, 2)])
+        for targets in ([finite(0)], [e1, INFINITY]):
+            assert label_matchings(K, targets) == relabel_matchings(K, targets), targets
+
+
 class TestMatchingsMemo:
     def test_pair_order_unchanged(self):
         nodes = enumerate_structures(3, 3)
         naive = [(L, M) for M in nodes for L0 in nodes
-                 for L in label_matchings(L0, eigenvalues(M))]
-        rows = verify_mod._closure_rows(nodes, 10**7)
-        assert [(L, M) for M, sources, _ in rows for L in sources] == naive
+                 for L in relabel_matchings(L0, eigenvalues(M))]
+        inf = verify_mod._infinity_code(map(eigenvalues, nodes))
+        rows = verify_mod._closure_rows(nodes, 10**7, inf)
+        assert [(verify_mod._decode(L.key, inf), M)
+                for M, sources, _ in rows for L in sources] == naive
 
     @pytest.mark.parametrize("suite", [verify_codimension_monotonicity,
                                        cross_validate_characterizations])
     def test_one_call_per_eigenvalue_set_and_node(self, monkeypatch, suite):
         calls = []
-        matchings = verify_mod.label_matchings
+        matchings = verify_mod._matchings
 
-        def counting(K, target_labels):
-            calls.append((K, tuple(target_labels)))
-            return matchings(K, target_labels)
+        def counting(node, labels, inf):
+            calls.append((node.key, tuple(labels)))
+            return matchings(node, labels, inf)
 
-        monkeypatch.setattr(verify_mod, "label_matchings", counting)
+        monkeypatch.setattr(verify_mod, "_matchings", counting)
         assert suite(3, 3).passed
         nodes = enumerate_structures(3, 3)
         eigenvalue_sets = {eigenvalues(M) for M in nodes}
