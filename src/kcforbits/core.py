@@ -15,6 +15,7 @@ never on its numeric value, so labels suffice; exact numeric pencils are
 produced separately by :mod:`kcforbits.pencils`.
 """
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -43,6 +44,7 @@ __all__ = [
     "partitions_desc",
     "partition_multisets",
     "structure_sort_key",
+    "structure_from_key",
 ]
 
 
@@ -69,9 +71,15 @@ class EigenvalueLabel:
     def is_infinite(self) -> bool:
         return self.kind == "infinity"
 
-    def sort_key(self) -> tuple:
-        # finite labels first, by id; infinity last
-        return (1, 0) if self.is_infinite else (0, self.id)
+    def sort_key(self) -> int | float:
+        """The label's code: ``id`` for ``e<id>``, ``math.inf`` for infinity.
+
+        Codes order the labels (finite ones by id, infinity last), and the
+        rule graph and the verifier's matcher work on them in place of
+        labels; int/float comparison and hashing are exact, so codes sort
+        and hash alike under every ``PYTHONHASHSEED``.
+        """
+        return math.inf if self.is_infinite else self.id
 
     def __str__(self) -> str:
         return "inf" if self.is_infinite else f"e{self.id}"
@@ -94,7 +102,7 @@ def _jordan_key(entry):
 
 
 class _Invariants(NamedTuple):
-    hash_value: int  # hash of structure_sort_key: ints only
+    hash_value: int  # hash of structure_sort_key: ints and math.inf only
     size: tuple  # (m, n)
     rank: int
     labels: tuple  # distinct eigenvalues, in label order
@@ -116,8 +124,10 @@ class KroneckerStructure:
 
     The invariants and the hash are computed on first use and then
     carried (a race only computes the same values twice); read them
-    through the module functions.  The hash is built from ints only, so
-    a copy pickled under another ``PYTHONHASHSEED`` hashes alike.
+    through the module functions.  The hash is that of
+    :func:`structure_sort_key`, built from ints and ``math.inf`` only, so
+    it does not depend on ``PYTHONHASHSEED`` and a copy pickled under
+    another seed hashes alike.
     """
 
     jordan: tuple = ()
@@ -174,7 +184,8 @@ def block_invariants(jordan, right, left) -> tuple:
 
     ``jordan`` holds (label, size) pairs sorted by label, then size, so each
     label's sizes are one run; labels are only compared for equality, so
-    the rule graph's int codes serve as well as :class:`EigenvalueLabel`.
+    the label codes of :func:`structure_sort_key` serve as well as
+    :class:`EigenvalueLabel`.
     """
     weyr = tuple([
         (lbl, _weyr([s for _, s in run], 1)) for lbl, run in groupby(jordan, key=itemgetter(0))
@@ -369,9 +380,23 @@ def partition_multisets(total: int, max_count: int):
 
 
 def structure_sort_key(K: KroneckerStructure) -> tuple:
-    """A total order on structures, for deterministic listings."""
-    return (
-        tuple((lbl.sort_key(), s) for lbl, s in K.jordan),
-        K.right,
-        K.left,
-    )
+    """``K`` encoded as ``(jordan, right, left)``, a total order on structures.
+
+    ``jordan`` holds sorted (code, size) pairs, each label replaced by its
+    :meth:`EigenvalueLabel.sort_key` code; ``right`` and ``left`` are the
+    sorted singular sizes.  Equal keys are equal structures, so the rule
+    graph and the verifier use the key as the structure's encoding;
+    :func:`structure_from_key` inverts it.
+    """
+    return tuple([(lbl.sort_key(), s) for lbl, s in K.jordan]), K.right, K.left
+
+
+def _label(code) -> EigenvalueLabel:
+    """The label whose :meth:`EigenvalueLabel.sort_key` is ``code``."""
+    return INFINITY if code == math.inf else finite(code)
+
+
+def structure_from_key(key) -> KroneckerStructure:
+    """The structure whose :func:`structure_sort_key` is ``key``."""
+    jordan, right, left = key
+    return KroneckerStructure([(_label(c), s) for c, s in jordan], right, left)

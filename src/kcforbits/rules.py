@@ -22,12 +22,14 @@ Rules 1-5 preserve the rank; rule 6 raises it by one.
 
 One search engine lives here.  :class:`RuleGraph` expands each structure
 reached over one eigenvalue-label universe once, however many sources
-reach it, working on plain-int tuples for structures and moves; it builds
-a :class:`KroneckerStructure` or :class:`RuleInstance` only for an answer.
-:func:`apply_rule` and :func:`applicable_instances` encode, run the same
-moves and decode.  :func:`reachable_structures` is one source on a fresh
-graph, the exhaustive verifier shares one graph per universe across all of
-its sources, and :func:`reachable` is a breadth-first path query.
+reach it, working on the sort keys of structures and moves (each label
+coded by :meth:`EigenvalueLabel.sort_key`); it builds a
+:class:`KroneckerStructure` or :class:`RuleInstance` only for an answer.
+:func:`apply_rule` and :func:`applicable_instances` run the same moves on
+the keys of their arguments and decode.  :func:`reachable_structures` is
+one source on a fresh graph, the exhaustive verifier shares one graph per
+universe across all of its sources, and :func:`reachable` is a
+breadth-first path query.
 """
 
 from collections import deque
@@ -39,11 +41,14 @@ from .core import (
     INFINITY,
     EigenvalueLabel,
     KroneckerStructure,
+    _label,
     block_invariants,
     eigenvalues,
     finite,
     partitions_desc,
     size_of,
+    structure_from_key,
+    structure_sort_key,
 )
 from .errors import (
     BadParametersError,
@@ -117,10 +122,16 @@ class RuleInstance:
             if self.p or self.q:
                 raise BadParametersError(f"rule {rid} takes no (p, q)")
 
-    def sort_key(self):
-        mu_key = self.mu.sort_key() if self.mu is not None else (-1, -1)
-        parts_key = tuple((s, lbl.sort_key()) for s, lbl in self.parts)
-        return (self.rule_id, self.j, self.k, self.p, self.q, mu_key, parts_key)
+    def sort_key(self) -> tuple:
+        """The move ``(rule, j, k, p, q, mu, parts)`` on label codes.
+
+        ``mu`` is the code of the eigenvalue, -1 when absent, and ``parts``
+        holds (size, code) pairs; :class:`RuleGraph` works on these tuples,
+        and :func:`_instance` inverts them.
+        """
+        mu = -1 if self.mu is None else self.mu.sort_key()
+        parts = tuple([(s, lbl.sort_key()) for s, lbl in self.parts])
+        return (self.rule_id, self.j, self.k, self.p, self.q, mu, parts)
 
     def to_json_dict(self) -> dict:
         out = {"rule": self.rule_id}
@@ -134,6 +145,13 @@ class RuleInstance:
             out["q"] = self.q
             out["parts"] = [{"size": s, "mu": str(lbl)} for s, lbl in self.parts]
         return out
+
+
+def _instance(move) -> RuleInstance:
+    """The instance whose :meth:`RuleInstance.sort_key` is ``move``."""
+    rid, j, k, p, q, mu, parts = move
+    return RuleInstance(rid, j, k, None if mu == -1 else _label(mu), p, q,
+                        tuple([(s, _label(c)) for s, c in parts]))
 
 
 def _exchange(move):
@@ -215,14 +233,10 @@ def apply_rule(K: KroneckerStructure, inst: RuleInstance) -> KroneckerStructure:
 
     Raises :class:`MissingBlocksError` when a consumed block is absent.
     """
-    graph = RuleGraph([*eigenvalues(K), *filter(None, [inst.mu]), *(lbl for _, lbl in inst.parts)])
-    codes = graph._codes
-    move = (inst.rule_id, inst.j, inst.k, inst.p, inst.q, codes.get(inst.mu, -1),
-            tuple([(s, codes[lbl]) for s, lbl in inst.parts]))
-    child = _apply(graph.nodes[graph.node(K)], move)
+    child = _apply(structure_sort_key(K), inst.sort_key())
     if child is None:
         raise MissingBlocksError(f"{K} lacks blocks consumed by {describe_instance(inst)}")
-    out = graph.structure(graph._node(child))
+    out = structure_from_key(child)
     if size_of(out) != size_of(K):
         raise InvariantViolationError(
             f"rule {inst.rule_id} changed the size of {K} to {size_of(out)}")
@@ -259,11 +273,10 @@ def applicable_instances(K: KroneckerStructure, label_pool) -> list:
     if len(fresh) < need:
         raise PoolTooSmallError(
             f"pool needs at least {need} fresh finite labels, found {len(fresh)}")
-    graph = RuleGraph(pool)
-    existing = [graph._codes[lbl] for lbl in pool if lbl in evs or lbl.is_infinite]
-    fresh = [graph._codes[lbl] for lbl in fresh]
-    moves = _moves(graph.nodes[graph.node(K)], lambda total: _rule6_parts(total, existing, fresh))
-    return [graph.instance(move) for move in moves]
+    existing = [lbl.sort_key() for lbl in pool if lbl in evs or lbl.is_infinite]
+    fresh = [lbl.sort_key() for lbl in fresh]
+    moves = _moves(structure_sort_key(K), lambda total: _rule6_parts(total, existing, fresh))
+    return [_instance(move) for move in moves]
 
 
 def _fresh_reservoir(count: int, label_sets) -> list:
@@ -275,14 +288,13 @@ def _fresh_reservoir(count: int, label_sets) -> list:
 class RuleGraph:
     """Prune-free rule reachability over one eigenvalue-label universe.
 
-    A node is ``(jordan, right, left)``: sorted (code, size) pairs, where
-    ``e<i>`` is coded ``i`` and infinity one above the universe's largest
-    finite id (``inf``), so codes sort as the labels do; then the sorted
-    singular sizes.  A move is ``(rule, j, k, p, q, mu, parts)``, mu -1
-    when absent, so tuple order is :meth:`RuleInstance.sort_key` order.
+    A node is the :func:`structure_sort_key` of its structure and a move
+    the :meth:`RuleInstance.sort_key` of its instance, so the graph works
+    on label codes and tuple order is the order of structures and moves.
     ``nodes``, ``codims`` and ``sizes`` hold each node's key, codimension
-    and (m, n), computed once; :meth:`structure` and :meth:`instance`
-    decode answers, and :meth:`find` looks a key up without adding it.
+    and (m, n), computed once; :meth:`structure` decodes a node and
+    :func:`_instance` a move, and :meth:`find` looks a key up without
+    adding it.
 
     Every universe label is a concrete rule-6 candidate, so the moves out
     of a structure depend on it and the universe alone: each structure is
@@ -297,29 +309,17 @@ class RuleGraph:
         self.universe = list(universe)
         self.max_expansions = max_expansions
         self.expansions = 0
-        inf = 1 + max([lbl.id for lbl in self.universe if not lbl.is_infinite], default=0)
-        self.inf = inf
-        self._codes = {lbl: inf if lbl.is_infinite else lbl.id for lbl in self.universe}
-        self._labels = {c: lbl for lbl, c in self._codes.items()}
         self._parts = {}  # rule-6 part tuples by total size
         self._index = {}
         self.nodes, self.codims, self.sizes, self._children = [], [], [], []
         self._desc = []  # 0 until computed: a finished bitset holds its own bit
 
     def structure(self, i: int) -> KroneckerStructure:
-        jordan, right, left = self.nodes[i]
-        return KroneckerStructure([(self._labels[c], s) for c, s in jordan], right, left)
-
-    def instance(self, move) -> RuleInstance:
-        rid, j, k, p, q, mu, parts = move
-        return RuleInstance(rid, j, k, self._labels.get(mu), p, q,
-                            tuple([(s, self._labels[c]) for s, c in parts]))
+        return structure_from_key(self.nodes[i])
 
     def node(self, K: KroneckerStructure) -> int:
         """Index of ``K``; a new node is added unexpanded."""
-        codes = self._codes
-        jordan = tuple(sorted([(codes[lbl], s) for lbl, s in K.jordan]))
-        return self._node((jordan, K.right, K.left))
+        return self._node(structure_sort_key(K))
 
     def find(self, key):
         """Index of the node with encoded ``key``, or None when no search has
@@ -341,7 +341,8 @@ class RuleGraph:
     def _rule6_parts(self, total: int) -> list:
         parts = self._parts.get(total)
         if parts is None:
-            parts = self._parts[total] = _rule6_parts(total, sorted(self._labels), [])
+            codes = sorted({lbl.sort_key() for lbl in self.universe})
+            parts = self._parts[total] = _rule6_parts(total, codes, [])
         return parts
 
     def descendants(self, M: KroneckerStructure) -> int:
@@ -437,7 +438,7 @@ def reachable(M: KroneckerStructure, L: KroneckerStructure, prune: bool = True,
                 path = []
                 while parents[k] is not None:
                     k, move = parents[k]
-                    path.append(graph.instance(move))
+                    path.append(_instance(move))
                 return path[::-1]
             if graph.codims[k] > target_codim:
                 queue.append(k)

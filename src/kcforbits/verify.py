@@ -41,6 +41,7 @@ from .core import (
     partitions_desc,
     rank_of,
     size_of,
+    structure_from_key,
     structure_sort_key,
     weyr_jordan,
     weyr_jordan_pairs,
@@ -210,11 +211,11 @@ def _regular_parts(total: int, pool_size: int, include_infinity: bool):
 class _Matched(NamedTuple):
     """One label matching, encoded: the structure is never built.
 
-    ``key`` is ``(jordan, right, left)`` with sorted (code, size) pairs,
-    ``e<i>`` coded ``i`` and infinity coded above every finite id in use, so
-    keys sort as :func:`structure_sort_key` does; equal keys are the same
-    orbit.  The other fields are the invariants :func:`closure_records`
-    and the suites read, those of the matched node with ``weyr`` renamed.
+    ``key`` is the :func:`structure_sort_key` of the matched structure, so
+    equal keys are the same orbit and :func:`structure_from_key` builds
+    it.  The other fields are the invariants :func:`closure_records` and
+    the suites read, those of the matched node with ``weyr`` on the same
+    label codes.
     """
 
     key: tuple
@@ -226,56 +227,36 @@ class _Matched(NamedTuple):
     codim: int
 
 
-def _infinity_code(label_sets) -> int:
-    """A code for infinity above every finite id that matchings among
-    ``label_sets`` can use: the ids themselves and the fresh ids after them."""
-    ids, most = [0], 0
-    for labels in label_sets:
-        finite_ids = [lbl.id for lbl in labels if not lbl.is_infinite]
-        ids += finite_ids
-        most = max(most, len(finite_ids))
-    return 1 + max(ids) + most
+_INF = INFINITY.sort_key()
 
 
-def _encode(K: KroneckerStructure, inf: int) -> _Matched:
-    """``K`` as its own matching, with infinity coded ``inf``."""
-    def code(lbl):
-        return inf if lbl.is_infinite else lbl.id
-
+def _encode(K: KroneckerStructure) -> _Matched:
+    """``K`` as its own matching."""
     return _Matched(
-        (tuple([(code(lbl), s) for lbl, s in K.jordan]), K.right, K.left),
-        size_of(K), rank_of(K), weyr_singular(K, "right"), weyr_singular(K, "left"),
-        tuple([(code(mu), seq) for mu, seq in weyr_jordan_pairs(K)]), codimension(K),
+        structure_sort_key(K), size_of(K), rank_of(K), weyr_singular(K, "right"),
+        weyr_singular(K, "left"),
+        tuple([(mu.sort_key(), seq) for mu, seq in weyr_jordan_pairs(K)]), codimension(K),
     )
 
 
-def _decode(key, inf: int) -> KroneckerStructure:
-    """The structure of an encoded ``key``, with infinity coded ``inf``."""
-    jordan, right, left = key
-    return KroneckerStructure([(INFINITY if c == inf else finite(c), s) for c, s in jordan],
-                              right, left)
+def _matchings(node: _Matched, targets: tuple, base: int) -> list:
+    """The label matchings of an encoded ``node`` against the sorted finite
+    codes ``targets``, encoded and in key order.
 
-
-def _matchings(node: _Matched, labels: tuple, inf: int) -> list:
-    """The label matchings of an encoded ``node`` against the sorted codes
-    ``labels``, encoded and in key order.
-
-    Each is an injective partial map from the node's finite codes into the
-    finite ``labels``, with the rest sent, in code order, to the fresh ids
-    ``base, base + 1, ...`` above every target and node id; infinity stays
-    ``inf``.  Maps giving the same jordan key are one matching.  A key is
-    fixed by the block sizes each target receives and the sequence of
-    sizes sent to fresh ids, so the finite labels are placed one at a time
-    and equal partial placements are merged, never listing a map twice.
+    Each is an injective partial map from the node's finite codes into
+    ``targets``, with the rest sent, in code order, to the fresh ids
+    ``base, base + 1, ...``, which must lie above every target; infinity
+    stays put.  Maps giving the same key are one matching.  A key is fixed
+    by the block sizes each target receives and the sequence of sizes sent
+    to fresh ids, so the finite labels are placed one at a time and equal
+    partial placements are merged, never listing a map twice.
     """
     jordan, right, left = node.key
     runs = [(c, tuple([s for _, s in run])) for c, run in groupby(jordan, key=itemgetter(0))]
     weyr_of = {sizes: seq for (_, sizes), (_, seq) in zip(runs, node.weyr)}
-    targets = [c for c in labels if c != inf]
-    base = 1 + max([c for c, _ in runs if c != inf] + targets, default=0)
     states = {((None,) * len(targets), ())}  # (sizes per target, sizes per fresh id)
     for c, sizes in runs:
-        if c == inf:
+        if c == _INF:
             continue
         grown = set()
         for placed, fresh in states:
@@ -288,7 +269,7 @@ def _matchings(node: _Matched, labels: tuple, inf: int) -> list:
     for placed, fresh in states:
         blocks = [(c, sizes) for c, sizes in zip(targets, placed) if sizes is not None]
         blocks += zip(count(base), fresh)
-        blocks += [(c, sizes) for c, sizes in runs if c == inf]
+        blocks += [(c, sizes) for c, sizes in runs if c == _INF]
         out.append(_Matched((tuple([(c, s) for c, sizes in blocks for s in sizes]), right, left),
                             node.size, node.rank, node.r, node.l,
                             tuple([(c, weyr_of[sizes]) for c, sizes in blocks]), node.codim))
@@ -302,16 +283,17 @@ def label_matchings(K: KroneckerStructure, target_labels) -> list:
 
     Each finite label of ``K`` is either matched injectively to one of
     the target labels or kept disjoint from all of them; unmatched labels
-    are renamed to a fixed fresh sequence above the targets and above the
-    labels of ``K``, one representative per pattern.  The infinity label
-    always matches itself.  Deduplicated, in :func:`structure_sort_key`
-    order.  The verifier runs the same matcher on integer codes and never
-    builds these structures; here they are decoded.
+    are renamed to a fixed fresh sequence starting one above the targets
+    and the labels of ``K``, one representative per pattern.  The infinity
+    label always matches itself.  Deduplicated, in
+    :func:`structure_sort_key` order.  The verifier runs the same matcher
+    on label codes, with the fresh sequence on the rule search's reservoir,
+    and never builds these structures; here they are decoded.
     """
-    target_labels = list(target_labels)
-    targets = tuple(sorted({lbl.id for lbl in target_labels if not lbl.is_infinite}))
-    inf = _infinity_code([eigenvalues(K), target_labels])
-    return [_decode(L.key, inf) for L in _matchings(_encode(K, inf), targets, inf)]
+    node = _encode(K)
+    targets = tuple(sorted({lbl.sort_key() for lbl in target_labels if not lbl.is_infinite}))
+    base = 1 + max([mu for mu, _ in node.weyr if mu != _INF] + list(targets), default=0)
+    return [structure_from_key(L.key) for L in _matchings(node, targets, base)]
 
 
 def _matchings_count(src_count: int, tgt_count: int) -> int:
@@ -342,33 +324,31 @@ def _pair_budget(nodes, max_pairs):
     return total
 
 
-def _closure_rows(nodes, max_pairs, inf):
+def _closure_rows(nodes, max_pairs, base):
     """(M, sources, related) for every node M, in node order.
 
-    ``sources`` are the label matchings of every node against M's
-    eigenvalue set, in node order, as encoded :class:`_Matched` records
-    with infinity coded ``inf`` (:func:`_decode` builds one); bit k of
-    ``related`` is ``degenerates_to`` of source k and M.  Both depend only
-    on that set, so each set is matched once, one :func:`_matchings` call
-    per node, and decided by one :func:`closure_records` batch over all of
-    its nodes.
+    ``sources`` are the label matchings of every node against M's finite
+    eigenvalues, unmatched labels sent to ``base, base + 1, ...``, in node
+    order, as encoded :class:`_Matched` records; bit k of ``related`` is
+    ``degenerates_to`` of source k and M.  The sources depend only on M's
+    finite labels (infinity always matches itself), so each finite label
+    set is matched once, one :func:`_matchings` call per node, and decided
+    by one :func:`closure_records` batch over all of its nodes.
     """
     _pair_budget(nodes, max_pairs)
-    encoded = [_encode(M, inf) for M in nodes]
+    encoded = [_encode(M) for M in nodes]
+    finite_labels = [tuple([mu for mu, _ in node.weyr if mu != _INF]) for node in encoded]
     groups = {}
-    for i, M in enumerate(nodes):
-        groups.setdefault(eigenvalues(M), []).append(i)
-    matched = {}
-    related = {}
-    for i, M in enumerate(nodes):
-        m_labels = eigenvalues(M)
-        if m_labels not in matched:
-            labels = tuple([mu for mu, _ in encoded[i].weyr])
-            matched[m_labels] = [L for node in encoded for L in _matchings(node, labels, inf)]
-            group = groups[m_labels]
-            related.update(zip(group, closure_records(matched[m_labels],
+    for i, targets in enumerate(finite_labels):
+        groups.setdefault(targets, []).append(i)
+    matched, related = {}, {}
+    for i, (M, targets) in enumerate(zip(nodes, finite_labels)):
+        if targets not in matched:
+            matched[targets] = [L for node in encoded for L in _matchings(node, targets, base)]
+            group = groups[targets]
+            related.update(zip(group, closure_records(matched[targets],
                                                       [encoded[j] for j in group])))
-        yield M, matched[m_labels], related.pop(i)
+        yield M, matched[targets], related.pop(i)
 
 
 def verify_codimension_monotonicity(
@@ -387,19 +367,19 @@ def verify_codimension_monotonicity(
     """
     start = time.monotonic()
     nodes = enumerate_structures(m, n, pool_size, include_infinity)
-    inf = _infinity_code(map(eigenvalues, nodes))
+    base = rules._fresh_reservoir(1, map(eigenvalues, nodes))[0].sort_key()
     tracker = _Tracker()
     pair_count = 0
-    for M, sources, related in _closure_rows(nodes, max_pairs, inf):
+    for M, sources, related in _closure_rows(nodes, max_pairs, base):
         pair_count += len(sources)
-        target = _encode(M, inf)
+        target = _encode(M)
         cm = target.codim
         for k in set_bits(related):
             L = sources[k]
             cl = L.codim
 
             def info():
-                return {"L": str(_decode(L.key, inf)), "M": str(M), "codim_L": cl,
+                return {"L": str(structure_from_key(L.key)), "M": str(M), "codim_L": cl,
                         "codim_M": cm, "h": L.rank - target.rank}
 
             tracker.record("codim_monotone", cl <= cm, info)
@@ -409,7 +389,7 @@ def verify_codimension_monotonicity(
             if cl == cm:
                 ok = L.rank == target.rank and all(
                     lower == upper
-                    for _, lower, upper in majorization_conditions(_decode(L.key, inf), M)
+                    for _, lower, upper in majorization_conditions(structure_from_key(L.key), M)
                 )
                 tracker.record("equality_forces_equal_majorizations", ok, info)
     checks = tracker.results([
@@ -443,43 +423,35 @@ def cross_validate_characterizations(
     consulting majorizations; ``max_expansions`` bounds each graph.  Every
     re-embedded target L is then tested for membership in M's descendant
     bitset and compared with ``degenerates_to(L, M)``, read from one
-    :func:`closure_records` batch per eigenvalue set.  The targets are
-    encoded in the graph's codes once per eigenvalue set and looked up in
-    its index without being added: a key the graph lacks after expanding
-    M is not reachable from M.
+    :func:`closure_records` batch per finite eigenvalue set.  The matcher
+    sends unmatched labels onto the reservoir, so every target key is
+    already in the codes of M's graph and is looked up in its index without
+    being added: a key the graph lacks after expanding M is not reachable
+    from M.
     """
     start = time.monotonic()
     nodes = enumerate_structures(m, n, pool_size, include_infinity)
-    inf = _infinity_code(map(eigenvalues, nodes))
-    # the matchings re-embed unmatched labels right above the targets, so
-    # the reservoir must start there too
     reservoir = rules._fresh_reservoir(min(m, n), map(eigenvalues, nodes))
     search_labels = tuple(reservoir) + ((INFINITY,) if include_infinity else ())
-    fresh_ids = [lbl.id for lbl in reservoir]
-    graphs, embedded = {}, {}
+    graphs = {}
     tracker = _Tracker()
     pair_count = 0
-    for M, sources, related in _closure_rows(nodes, max_pairs, inf):
-        m_labels = eigenvalues(M)
-        universe = dict.fromkeys(m_labels + search_labels)
+    for M, sources, related in _closure_rows(nodes, max_pairs, reservoir[0].sort_key()):
+        universe = dict.fromkeys(eigenvalues(M) + search_labels)
         key = frozenset(universe)
         if key not in graphs:
             graphs[key] = rules.RuleGraph(universe, max_expansions)
         graph = graphs[key]
         reached = graph.descendants(M)
-        if m_labels not in embedded:
-            shared = {lbl.id for lbl in m_labels if not lbl.is_infinite}
-            embedded[m_labels] = [_embed_fresh(L.key, shared, fresh_ids, inf, graph.inf)
-                                  for L in sources]
         pair_count += len(sources)
-        for k, (L, graph_key) in enumerate(zip(sources, embedded[m_labels])):
+        for k, L in enumerate(sources):
             # a target the graph has never met is not reached from M
-            idx = graph.find(graph_key)
+            idx = graph.find(L.key)
             via_rules = idx is not None and bool(reached >> idx & 1)
             via_majorization = bool(related >> k & 1)
 
             def info():
-                structure = _decode(L.key, inf)
+                structure = structure_from_key(L.key)
                 report = majorization_report(structure, M)
                 return {
                     "L": str(structure),
@@ -501,16 +473,6 @@ def cross_validate_characterizations(
         checks=checks,
         elapsed_seconds=time.monotonic() - start,
     )
-
-
-def _embed_fresh(key, shared, fresh_ids, inf, graph_inf) -> tuple:
-    """Encoded ``key`` in a rule graph's codes: finite codes outside
-    ``shared`` go onto ``fresh_ids`` in order, infinity from ``inf`` to
-    ``graph_inf``."""
-    jordan, right, left = key
-    code = dict(zip(sorted({c for c, _ in jordan if c != inf and c not in shared}), fresh_ids))
-    code[inf] = graph_inf
-    return tuple(sorted([(code.get(c, c), s) for c, s in jordan])), right, left
 
 
 def verify_formula_identities(

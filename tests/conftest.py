@@ -8,12 +8,13 @@ elimination, Fraction-valued pencils and tangent matrices instead of
 integer ones, the Demmel-Edelman sum over pairs of blocks instead of the
 Weyr-characteristic codimension formula, direct block-multiset
 search instead of the budgeted structure enumerator, moves applied to
-block lists of labelled pairs instead of the rule graph's plain-int
+block lists of labelled pairs instead of the rule graph's sort-key
 encoding, label matchings built as relabelled structures instead of on
-integer codes, a fresh breadth-first search per source or path question
+label codes, a fresh breadth-first search per source or path question
 instead of the rule graph, a triple-loop transitive reduction instead
-of the bitset one, and a depth-first transitive closure of the Hasse
-edges.
+of the bitset one, a depth-first transitive closure of the Hasse
+edges, and tuple sort keys for labels, structures and rule instances
+instead of the label codes the library sorts by.
 """
 
 import math
@@ -38,9 +39,26 @@ from kcforbits.core import (
     partitions_desc,
     relabel,
     size_of,
-    structure_sort_key,
 )
 from kcforbits.pencils import RationalPencil
+
+
+def oracle_label_key(lbl):
+    """Finite labels first, by id; infinity last."""
+    return (1, 0) if lbl.is_infinite else (0, lbl.id)
+
+
+def oracle_structure_key(K):
+    """Sorted (label key, size) pairs, then the sorted singular sizes."""
+    jordan = tuple(sorted((oracle_label_key(lbl), s) for lbl, s in K.jordan))
+    return jordan, tuple(sorted(K.right)), tuple(sorted(K.left))
+
+
+def oracle_instance_key(inst):
+    """(rule, j, k, p, q, mu key, parts keys), an absent mu first."""
+    mu_key = oracle_label_key(inst.mu) if inst.mu is not None else (-1, -1)
+    parts_key = tuple((s, oracle_label_key(lbl)) for s, lbl in inst.parts)
+    return (inst.rule_id, inst.j, inst.k, inst.p, inst.q, mu_key, parts_key)
 
 
 def naive_rank(matrix) -> int:
@@ -220,7 +238,7 @@ def reference_invariants(K):
     Keys are the fields of ``K._invariants()`` but its hash.  The
     codimension is the Weyr-characteristic formula summed term by term.
     """
-    labels = tuple(sorted({lbl for lbl, _ in K.jordan}, key=lambda lbl: lbl.sort_key()))
+    labels = tuple(sorted({lbl for lbl, _ in K.jordan}, key=oracle_label_key))
     weyr = tuple((mu, _counting_weyr([s for lbl, s in K.jordan if lbl == mu])) for mu in labels)
     j = sum(s for _, s in K.jordan)
     m = j + sum(K.right) + sum(k + 1 for k in K.left)
@@ -284,7 +302,7 @@ def _list_rule6_parts(total, existing, fresh):
 
         def rec(gi, used, fresh_used, acc):
             if gi == len(groups):
-                out.add(tuple(sorted(acc, key=lambda t: (-t[0], t[1].sort_key()))))
+                out.add(tuple(sorted(acc, key=lambda t: (-t[0], oracle_label_key(t[1])))))
                 return
             size, count = groups[gi]
             available = [lbl for lbl in existing if lbl not in used]
@@ -298,12 +316,12 @@ def _list_rule6_parts(total, existing, fresh):
                         acc + [(size, lbl) for lbl in labels])
 
         rec(0, frozenset(), 0, [])
-    return sorted(out, key=lambda parts: tuple((s, lbl.sort_key()) for s, lbl in parts))
+    return sorted(out, key=lambda parts: tuple((s, oracle_label_key(lbl)) for s, lbl in parts))
 
 
 def list_instances(K, existing, fresh):
     """Every applicable ``RuleInstance``, built as objects and sorted by
-    ``RuleInstance.sort_key``; rule-6 labels come from the given candidates."""
+    ``oracle_instance_key``; rule-6 labels come from the given candidates."""
     out = []
     right_values = sorted(set(K.right))
     left_values = sorted(set(K.left))
@@ -333,7 +351,7 @@ def list_instances(K, existing, fresh):
         for q in left_values:
             for parts in _list_rule6_parts(p + q + 1, existing, fresh):
                 out.append(RuleInstance(6, p=p, q=q, parts=parts))
-    return sorted(out, key=RuleInstance.sort_key)
+    return sorted(out, key=oracle_instance_key)
 
 
 def list_successors(K, universe):
@@ -348,7 +366,7 @@ def list_successors(K, universe):
 def bfs_reachable_structures(M, fresh_labels):
     """Every structure rule-reachable from ``M``, by a fresh breadth-first
     search over the eigenvalues of ``M`` plus ``fresh_labels``."""
-    evs = sorted(eigenvalues(M), key=lambda lbl: lbl.sort_key())
+    evs = sorted(eigenvalues(M), key=oracle_label_key)
     universe = list(dict.fromkeys(evs + list(fresh_labels)))
     visited = {M}
     queue = deque([M])
@@ -372,7 +390,7 @@ def bfs_reachable_path(M, L, prune=True):
     if codimension(M) <= target_codim:
         return None
     m, n = size_of(M)
-    evs = sorted(set(eigenvalues(M)) | set(eigenvalues(L)), key=lambda lbl: lbl.sort_key())
+    evs = sorted(set(eigenvalues(M)) | set(eigenvalues(L)), key=oracle_label_key)
     universe = evs + rules._fresh_reservoir(min(m, n), [evs])
     parents = {M: None}
     queue = deque([M])
@@ -397,15 +415,17 @@ def bfs_reachable_path(M, L, prune=True):
     return None
 
 
-def relabel_matchings(K, target_labels) -> list:
+def relabel_matchings(K, target_labels, base=None) -> list:
     """Label matchings of ``K`` against ``target_labels`` by building every
     relabelled structure through ``relabel``, deduplicated and sorted by
-    ``structure_sort_key``."""
+    ``oracle_structure_key``.  Unmatched labels go to ``e<base>``,
+    ``e<base + 1>``, ...; by default ``base`` is one above every label id of
+    ``K`` and the targets."""
     src = [lbl for lbl in eigenvalues(K) if not lbl.is_infinite]
-    tgt = sorted({lbl for lbl in target_labels if not lbl.is_infinite},
-                 key=lambda l: l.sort_key())
-    base = 1 + max((lbl.id for lbl in tgt), default=0)
-    base = max(base, 1 + max((lbl.id for lbl in src), default=0))
+    tgt = sorted({lbl for lbl in target_labels if not lbl.is_infinite}, key=oracle_label_key)
+    if base is None:
+        base = 1 + max((lbl.id for lbl in tgt), default=0)
+        base = max(base, 1 + max((lbl.id for lbl in src), default=0))
     results = {}
     for k in range(min(len(src), len(tgt)) + 1):
         for subset in combinations(src, k):
@@ -415,7 +435,7 @@ def relabel_matchings(K, target_labels) -> list:
                 for i, lbl in enumerate(fresh):
                     mapping[lbl] = finite(base + i)
                 results.setdefault(relabel(K, mapping), None)
-    return sorted(results, key=structure_sort_key)
+    return sorted(results, key=oracle_structure_key)
 
 
 def closure_relation(graph):

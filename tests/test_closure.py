@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import closure_relation, naive_hasse_edges, nonincreasing_seqs
-from kcforbits import closure
+from kcforbits import closure, rules
 from kcforbits import verify as verify_mod
 from kcforbits.closure import (
     build_closure_graph,
@@ -14,7 +14,14 @@ from kcforbits.closure import (
     same_orbit,
     weakly_majorizes,
 )
-from kcforbits.core import INFINITY, KroneckerStructure, eigenvalues, finite, rank_of
+from kcforbits.core import (
+    INFINITY,
+    KroneckerStructure,
+    eigenvalues,
+    finite,
+    rank_of,
+    structure_from_key,
+)
 from kcforbits.errors import DuplicateNodeError, InvariantViolationError, SizeMismatchError
 from kcforbits.verify import enumerate_structures, label_matchings
 
@@ -240,10 +247,10 @@ class TestClosureBitsets:
     def test_suite_pairs(self, m, n):
         # the re-embedded sources of the dim and rules suites, per target
         nodes = enumerate_structures(m, n)
-        inf = verify_mod._infinity_code(map(eigenvalues, nodes))
+        base = rules._fresh_reservoir(min(m, n), map(eigenvalues, nodes))[0].id
         rows = 0
-        for M, sources, related in verify_mod._closure_rows(nodes, 10**7, inf):
-            sources = [verify_mod._decode(L.key, inf) for L in sources]
+        for M, sources, related in verify_mod._closure_rows(nodes, 10**7, base):
+            sources = [structure_from_key(L.key) for L in sources]
             assert related == oracle_bitsets(sources, [M])[0], str(M)
             rows += 1
         assert rows == len(nodes)

@@ -1,5 +1,6 @@
 import os
 import pickle
+import random
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_invariants, structures
+from conftest import oracle_label_key, oracle_structure_key, reference_invariants, structures
 from kcforbits.core import (
     INFINITY,
     EigenvalueLabel,
@@ -20,6 +21,7 @@ from kcforbits.core import (
     rank_of,
     relabel,
     size_of,
+    structure_from_key,
     structure_sort_key,
     weyr_characteristic,
     weyr_jordan,
@@ -51,6 +53,29 @@ class TestLabels:
     def test_str(self):
         assert str(finite(12)) == "e12"
         assert str(INFINITY) == "inf"
+
+
+class TestSortKeys:
+    """The label codes order labels and structures as the former tuple keys
+    (``conftest.oracle_label_key``) did, e0 and huge ids included."""
+
+    EXTREMES = {finite(1): finite(0), finite(2): finite(10**30)}
+
+    def test_labels(self):
+        labels = [INFINITY, finite(10**30 + 1), finite(10**30), finite(7), finite(0)]
+        assert sorted(labels, key=EigenvalueLabel.sort_key) == labels[::-1]
+        assert sorted(labels, key=oracle_label_key) == labels[::-1]
+
+    def test_structures_to_4x4(self):
+        nodes = []
+        for m in range(1, 5):
+            for n in range(1, 5):
+                for K in enumerate_structures(m, n):
+                    nodes += [K, relabel(K, self.EXTREMES)]
+        random.Random(0).shuffle(nodes)
+        assert sorted(nodes, key=structure_sort_key) == sorted(nodes, key=oracle_structure_key)
+        for K in nodes:
+            assert structure_from_key(structure_sort_key(K)) == K
 
 
 class TestStructureValidation:

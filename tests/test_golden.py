@@ -1,12 +1,16 @@
 """Pinned SHA-256 digests of byte-stable command-line artifacts.
 
 The digests were taken from a tree whose outputs had been checked by
-hand, and they are the same under PYTHONHASHSEED 0, 1 and 12345.  A
-refactor that changes any of these bytes fails here, so "identical
-artifacts" needs no manual diff.
+hand, and they are the same under PYTHONHASHSEED 0, 1 and 12345: every
+command is checked in the test process, and three cheap ones again in
+fresh interpreters under seeds 1 and 12345.  A refactor that changes any
+of these bytes fails here, so "identical artifacts" needs no manual diff.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -67,3 +71,22 @@ def test_artifact_digest(capsys, argv, code, digest):
     assert main(list(argv)) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# structures, rule moves and both pair suites, each in its own interpreter
+SEEDED = [g for g in GOLDEN if g[0] in {
+    ("verify", "3", "3", "--checks", "dim,rules", "--json"),
+    ("graph", "3", "4", "--dot"),
+    ("path", "L(0) + L(1) + LT(0) + LT(1)", "J(2;e1) + J(1;e2) + J(1;inf)", "--json"),
+}]
+
+
+@pytest.mark.parametrize("seed", ["1", "12345"])
+def test_artifact_digest_under_hash_seed(seed):
+    assert len(SEEDED) == 3
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    for argv, code, digest in SEEDED:
+        done = subprocess.run([sys.executable, "-m", "kcforbits.cli", *argv], env=env,
+                              capture_output=True, timeout=120)
+        assert done.returncode == code, done.stderr
+        assert hashlib.sha256(done.stdout).hexdigest() == digest, argv

@@ -20,6 +20,7 @@ from kcforbits.core import (
     finite,
     rank_of,
     size_of,
+    structure_sort_key,
 )
 from kcforbits.errors import (
     BadParametersError,
@@ -29,6 +30,7 @@ from kcforbits.errors import (
     SearchBudgetExceededError,
     SizeMismatchError,
 )
+from kcforbits.notation import parse_structure
 from kcforbits.rules import (
     RuleGraph,
     RuleInstance,
@@ -164,14 +166,18 @@ class TestApplicableInstances:
 
 @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 4) for n in range(1, 4)])
 def test_applicable_instances_match_object_oracle(m, n):
-    for K in enumerate_structures(m, n):
-        evs = list(eigenvalues(K))
-        fresh = [finite(100 + i) for i in range(min(m, n))]
-        insts = applicable_instances(K, evs + [INFINITY] + fresh)
-        existing = evs + ([] if INFINITY in evs else [INFINITY])
-        assert insts == list_instances(K, existing, fresh), str(K)
-        for inst in insts:
-            assert apply_rule(K, inst) == list_apply_rule(K, inst), (str(K), inst)
+    # the oracle sorts by the former tuple keys (conftest.oracle_instance_key),
+    # here also with fresh labels e0 and ids past the integers a float holds exactly
+    for fresh_ids in ((100, 101, 102), (0, 10**30, 10**30 + 1)):
+        for K in enumerate_structures(m, n):
+            evs = list(eigenvalues(K))
+            fresh = [finite(i) for i in fresh_ids[:min(m, n)]]
+            insts = applicable_instances(K, evs + [INFINITY] + fresh)
+            existing = evs + ([] if INFINITY in evs else [INFINITY])
+            assert insts == list_instances(K, existing, fresh), str(K)
+            for inst in insts:
+                assert rules._instance(inst.sort_key()) == inst
+                assert apply_rule(K, inst) == list_apply_rule(K, inst), (str(K), inst)
 
 
 class TestReachable:
@@ -373,7 +379,7 @@ def test_encoded_successors_match_object_expansion(m, n):
     for universe, graph in graphs.items():
         for i in range(len(graph.nodes)):
             K = graph.structure(i)
-            encoded = [(graph.structure(k), graph.instance(move))
+            encoded = [(graph.structure(k), rules._instance(move))
                        for k, move in graph.successors(i, K).items()]
             assert encoded == list_successors(K, universe), str(K)
 
@@ -394,6 +400,30 @@ def test_rules_suite_expands_each_node_once(monkeypatch):
         expected.update((K, universe) for K in bfs_reachable_structures(M, search_labels))
     assert len(calls) == len(set(calls))
     assert set(calls) == expected
+
+
+def test_rules_counterexample_is_the_searched_structure(monkeypatch):
+    # the graph misses every key with both a label of M and a reservoir
+    # label, so the first failing pair must report the structure it looked
+    # up, with every label in M's universe
+    reservoir = rules._fresh_reservoir(3, map(eigenvalues, enumerate_structures(3, 3)))
+    fresh = {lbl.id for lbl in reservoir}  # e<i> is coded i
+    find, missed = RuleGraph.find, set()
+
+    def missing(graph, key):
+        codes = {c for c, _ in key[0]}
+        if codes & fresh and any(c < min(fresh) for c in codes):
+            missed.add(key)
+            return None
+        return find(graph, key)
+
+    monkeypatch.setattr(RuleGraph, "find", missing)
+    [check] = cross_validate_characterizations(3, 3).checks
+    example = check.counterexample
+    assert example["majorization"] and not example["rule_reachable"]
+    L, M = parse_structure(example["L"]), parse_structure(example["M"])
+    assert structure_sort_key(L) in missed
+    assert set(eigenvalues(L)) <= {*eigenvalues(M), *reservoir, INFINITY}
 
 
 def test_rules_suite_budget():

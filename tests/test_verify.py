@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -12,10 +13,12 @@ from kcforbits.core import (
     finite,
     rank_of,
     size_of,
+    structure_from_key,
     weyr_jordan_pairs,
     weyr_singular,
 )
 from kcforbits.errors import EnumerationLimitExceededError, InvalidSizeError
+from kcforbits import rules
 from kcforbits import verify as verify_mod
 from kcforbits.verify import (
     cross_validate_characterizations,
@@ -175,27 +178,25 @@ class TestEncodedMatchings:
     @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 6) for n in range(1, 6)])
     def test_decodes_to_relabelled_structures(self, m, n, pool_size, include_infinity):
         nodes = enumerate_structures(m, n, pool_size, include_infinity)
-        inf = verify_mod._infinity_code(map(eigenvalues, nodes))
-
-        def code(lbl):
-            return inf if lbl.is_infinite else lbl.id
-
+        # the suites send unmatched labels onto the rule search's reservoir
+        base = rules._fresh_reservoir(min(m, n), map(eigenvalues, nodes))[0].id
         for labels in dict.fromkeys(eigenvalues(M) for M in nodes):
-            targets = tuple(code(lbl) for lbl in labels)
+            targets = tuple(lbl.id for lbl in labels if not lbl.is_infinite)
             for K in nodes:
-                expected = relabel_matchings(K, labels)
-                encoded = verify_mod._matchings(verify_mod._encode(K, inf), targets, inf)
-                assert [verify_mod._decode(L.key, inf) for L in encoded] == expected, (K, labels)
-                assert label_matchings(K, labels) == expected
+                expected = relabel_matchings(K, labels, base)
+                encoded = verify_mod._matchings(verify_mod._encode(K), targets, base)
+                assert [structure_from_key(L.key) for L in encoded] == expected, (K, labels)
+                assert label_matchings(K, labels) == relabel_matchings(K, labels)
                 for L, S in zip(encoded, expected):
                     # sorted (code, size) pairs: infinity codes above every finite id
                     assert list(L.key[0]) == sorted(L.key[0])
-                    assert L.key == verify_mod._encode(S, inf).key
+                    assert L.key == verify_mod._encode(S).key
                     assert (L.size, L.rank, L.r, L.l, L.codim) == (
                         size_of(S), rank_of(S), weyr_singular(S, "right"),
                         weyr_singular(S, "left"), codimension(S))
                     assert sorted(L.weyr) == sorted(
-                        (code(mu), seq) for mu, seq in weyr_jordan_pairs(S))
+                        (math.inf if mu.is_infinite else mu.id, seq)
+                        for mu, seq in weyr_jordan_pairs(S))
 
     def test_arbitrary_labels(self):
         K = S(jordan=[(e1, 1), (e2, 2), (finite(9), 1), (INFINITY, 1)])
@@ -211,11 +212,11 @@ class TestEncodedMatchings:
 class TestMatchingsMemo:
     def test_pair_order_unchanged(self):
         nodes = enumerate_structures(3, 3)
+        base = rules._fresh_reservoir(3, map(eigenvalues, nodes))[0].id
         naive = [(L, M) for M in nodes for L0 in nodes
-                 for L in relabel_matchings(L0, eigenvalues(M))]
-        inf = verify_mod._infinity_code(map(eigenvalues, nodes))
-        rows = verify_mod._closure_rows(nodes, 10**7, inf)
-        assert [(verify_mod._decode(L.key, inf), M)
+                 for L in relabel_matchings(L0, eigenvalues(M), base)]
+        rows = verify_mod._closure_rows(nodes, 10**7, base)
+        assert [(structure_from_key(L.key), M)
                 for M, sources, _ in rows for L in sources] == naive
 
     @pytest.mark.parametrize("suite", [verify_codimension_monotonicity,
@@ -224,12 +225,14 @@ class TestMatchingsMemo:
         calls = []
         matchings = verify_mod._matchings
 
-        def counting(node, labels, inf):
-            calls.append((node.key, tuple(labels)))
-            return matchings(node, labels, inf)
+        def counting(node, targets, base):
+            calls.append((node.key, tuple(targets)))
+            return matchings(node, targets, base)
 
         monkeypatch.setattr(verify_mod, "_matchings", counting)
         assert suite(3, 3).passed
         nodes = enumerate_structures(3, 3)
-        eigenvalue_sets = {eigenvalues(M) for M in nodes}
-        assert len(calls) == len(set(calls)) == len(eigenvalue_sets) * len(nodes)
+        # infinity always matches itself, so only the finite labels count
+        finite_sets = {tuple(lbl for lbl in eigenvalues(M) if not lbl.is_infinite)
+                       for M in nodes}
+        assert len(calls) == len(set(calls)) == len(finite_sets) * len(nodes)
