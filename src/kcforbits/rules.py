@@ -20,23 +20,29 @@ The moves, on block multisets (J_0 is empty and is dropped):
 
 Rules 1-5 preserve the rank; rule 6 raises it by one.
 
-One search engine lives here.  :class:`RuleGraph` expands each structure
-reached over one eigenvalue-label universe once, however many sources
-reach it, working on the sort keys of structures and moves (each label
-coded by :meth:`EigenvalueLabel.sort_key`); it builds a
-:class:`KroneckerStructure` or :class:`RuleInstance` only for an answer.
+One search engine lives here.  :class:`RuleGraph` works on the sort keys
+of structures and moves (each label coded by
+:meth:`EigenvalueLabel.sort_key`) and builds a :class:`KroneckerStructure`
+or :class:`RuleInstance` only for an answer.  :meth:`RuleGraph.sweep` is
+an ancestor sweep: every move lowers the codimension, so nodes popped
+from a heap keyed by (-codimension, key) pop after every node that
+reaches them, each carrying the complete bitset of the roots that reach
+it.  The exhaustive verifier sweeps once per eigenvalue-label universe,
+with all of the universe's sources as roots, and keeps nodes up to
+permutations of the reservoir labels, which no source uses.
 :func:`apply_rule` and :func:`applicable_instances` run the same moves on
 the keys of their arguments and decode.  :func:`reachable_structures` is
-one source on a fresh graph, the exhaustive verifier shares one graph per
-universe across all of its sources, and :func:`reachable` is a
-breadth-first path query.
+a one-source sweep without that quotient, and :func:`reachable` is a
+breadth-first path query over :meth:`RuleGraph.successors`.
 """
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import combinations, groupby
+from operator import itemgetter
 
-from .closure import degenerates_to, set_bits
+from .closure import degenerates_to
 from .core import (
     INFINITY,
     EigenvalueLabel,
@@ -285,6 +291,27 @@ def _fresh_reservoir(count: int, label_sets) -> list:
     return [finite(max(ids, default=0) + 1 + i) for i in range(count)]
 
 
+def _canonical_runs(runs) -> list:
+    """Reservoir run size tuples in canonical order: longer runs first,
+    then larger sizes first."""
+    return sorted(runs, key=lambda sizes: (len(sizes), sizes), reverse=True)
+
+
+def _canonical(key, reservoir):
+    """``key`` with its runs on the ``reservoir`` codes renamed, in
+    :func:`_canonical_runs` order, onto the reservoir codes in increasing
+    order: keys that differ by a permutation of the reservoir codes get
+    one canonical key."""
+    jordan, right, left = key
+    fixed = [block for block in jordan if block[0] not in reservoir]
+    if len(fixed) == len(jordan):
+        return key
+    runs = [tuple([s for _, s in run]) for _, run in
+            groupby([block for block in jordan if block[0] in reservoir], key=itemgetter(0))]
+    fixed += [(c, s) for c, sizes in zip(sorted(reservoir), _canonical_runs(runs)) for s in sizes]
+    return tuple(sorted(fixed)), right, left
+
+
 class RuleGraph:
     """Prune-free rule reachability over one eigenvalue-label universe.
 
@@ -293,26 +320,31 @@ class RuleGraph:
     on label codes and tuple order is the order of structures and moves.
     ``nodes``, ``codims`` and ``sizes`` hold each node's key, codimension
     and (m, n), computed once; :meth:`structure` decodes a node and
-    :func:`_instance` a move, and :meth:`find` looks a key up without
-    adding it.
+    :func:`_instance` a move.  Every universe label is a rule-6 candidate,
+    so the moves out of a node depend on it and the universe alone; every
+    move must keep the size and lower the codimension, checked on every
+    edge, so the graph is acyclic and :meth:`sweep` may visit nodes by
+    decreasing codimension, each after all of its ancestors.
 
-    Every universe label is a concrete rule-6 candidate, so the moves out
-    of a structure depend on it and the universe alone: each structure is
-    expanded at most once, and the rule-6 part tuples are listed once per
-    total.  ``descendants`` memoizes, in post-order, the bitset
-    desc(X) = bit(X) | OR desc(child) over node indices; every move lowers
-    the codimension (checked on every edge, with the size), so the graph is
-    acyclic.  ``max_expansions`` bounds the expansions over its whole life.
+    ``reservoir`` names universe labels that no root of a sweep uses.
+    They are then interchangeable, and nodes are kept up to permutations
+    of their codes (:func:`_canonical`): rule 6 takes the reservoir codes a
+    node already uses as concrete candidates and the unused ones as fresh,
+    with the part tuples listed once per (total, codes used).
+    ``expansions`` and ``moves`` count the expansions and the moves listed
+    over the graph's life, and ``max_expansions`` bounds the expansions.
     """
 
-    def __init__(self, universe, max_expansions=None):
+    def __init__(self, universe, max_expansions=None, reservoir=()):
         self.universe = list(universe)
         self.max_expansions = max_expansions
-        self.expansions = 0
-        self._parts = {}  # rule-6 part tuples by total size
+        self.expansions = self.moves = 0
+        self._reservoir = frozenset(lbl.sort_key() for lbl in reservoir)
+        self._fixed = sorted({lbl.sort_key() for lbl in self.universe} - self._reservoir)
+        self._parts = {}  # rule-6 part tuples by (total, reservoir codes used)
+        self._canon = {}  # canonical key by child key: children repeat across nodes
         self._index = {}
-        self.nodes, self.codims, self.sizes, self._children = [], [], [], []
-        self._desc = []  # 0 until computed: a finished bitset holds its own bit
+        self.nodes, self.codims, self.sizes = [], [], []
 
     def structure(self, i: int) -> KroneckerStructure:
         return structure_from_key(self.nodes[i])
@@ -320,11 +352,6 @@ class RuleGraph:
     def node(self, K: KroneckerStructure) -> int:
         """Index of ``K``; a new node is added unexpanded."""
         return self._node(structure_sort_key(K))
-
-    def find(self, key):
-        """Index of the node with encoded ``key``, or None when no search has
-        reached it; adds no node."""
-        return self._index.get(key)
 
     def _node(self, key) -> int:
         idx = self._index.get(key)
@@ -334,43 +361,14 @@ class RuleGraph:
             self.nodes.append(key)
             self.codims.append(codim)
             self.sizes.append(size)
-            self._children.append(None)
-            self._desc.append(0)
         return idx
 
-    def _rule6_parts(self, total: int) -> list:
-        parts = self._parts.get(total)
+    def _rule6_parts(self, total: int, used: tuple) -> list:
+        parts = self._parts.get((total, used))
         if parts is None:
-            codes = sorted({lbl.sort_key() for lbl in self.universe})
-            parts = self._parts[total] = _rule6_parts(total, codes, [])
+            fresh = sorted(self._reservoir.difference(used))
+            parts = self._parts[total, used] = _rule6_parts(total, self._fixed + list(used), fresh)
         return parts
-
-    def descendants(self, M: KroneckerStructure) -> int:
-        """Bitset of the nodes reachable from ``M``, ``M`` itself included."""
-        desc, children = self._desc, self._children
-        root = self.node(M)
-        stack = [root]
-        while stack:
-            i = stack[-1]
-            if desc[i]:
-                stack.pop()
-                continue
-            if children[i] is None:
-                children[i] = list(self.successors(i, M))
-            pending = [k for k in children[i] if not desc[k]]
-            if pending:
-                stack.extend(pending)
-                continue
-            bits = 1 << i
-            for k in children[i]:
-                bits |= desc[k]
-            desc[i] = bits
-            stack.pop()
-        return desc[root]
-
-    def members(self, bits: int) -> frozenset:
-        """The structures whose indices are set in ``bits``."""
-        return frozenset(self.structure(i) for i in set_bits(bits))
 
     def successors(self, i, source) -> dict:
         """``{child index: first move giving it}`` of node ``i``, in
@@ -384,16 +382,59 @@ class RuleGraph:
             )
         self.expansions += 1
         key, codim, size = self.nodes[i], self.codims[i], self.sizes[i]
-        codims, sizes = self.codims, self.sizes
+        codims, sizes, reservoir, canon = self.codims, self.sizes, self._reservoir, self._canon
+        used = tuple(sorted({c for c, _ in key[0] if c in reservoir})) if reservoir else ()
+        moves = _moves(key, lambda total: self._rule6_parts(total, used))
+        self.moves += len(moves)
         kids = {}
-        for move in _moves(key, self._rule6_parts):
-            k = self._node(_apply(key, move))
+        for move in moves:
+            child = _apply(key, move)
+            if reservoir:
+                known = canon.get(child)
+                if known is None:
+                    known = canon[child] = _canonical(child, reservoir)
+                child = known
+            k = self._node(child)
             if codims[k] >= codim or sizes[k] != size:
                 raise InvariantViolationError(
                     f"rule {move[0]} took {self.structure(i)} (codimension {codim}, size {size}) "
                     f"to {self.structure(k)} (codimension {codims[k]}, size {sizes[k]})")
             kids.setdefault(k, move)
         return kids
+
+    def sweep(self, roots, keep=None) -> dict:
+        """``{key: bitset}`` for every node reached from the keys ``roots``
+        whose key is in ``keep`` (every reached node when ``keep`` is None);
+        bit s is set when ``roots[s]`` reaches the node.
+
+        Nodes pop from a heap keyed by (-codimension, key), so a node pops
+        after every node that reaches it, with its bitset complete.  The
+        bitset is ORed into each child and dropped when the node pops,
+        unless ``keep`` holds its key.  Each reached node is expanded once.
+        """
+        source = (structure_from_key(roots[0]) if len(roots) == 1
+                  else f"{len(roots)} sources over {len(self.universe)} labels")
+        bits, heap = {}, []
+        for s, key in enumerate(roots):
+            i = self._node(key)
+            if i not in bits:
+                bits[i] = 0
+                heap.append((-self.codims[i], key, i))
+            bits[i] |= 1 << s
+        heapify(heap)
+        out = {}
+        while heap:
+            _, key, i = heappop(heap)
+            reach = bits.pop(i)
+            if keep is None or key in keep:
+                out[key] = reach
+            for k in self.successors(i, source):
+                if k in bits:
+                    bits[k] |= reach
+                else:
+                    bits[k] = reach
+                    heappush(heap, (-self.codims[k], self.nodes[k], k))
+        return out
 
 
 def reachable(M: KroneckerStructure, L: KroneckerStructure, prune: bool = True,
@@ -453,13 +494,13 @@ def reachable_structures(M: KroneckerStructure, fresh_labels=None, max_expansion
     the infinity label and a reservoir of min(m, n) finite labels above
     every label of ``M``), so the result contains every reachable
     structure over that label universe; ``M`` itself is included via the
-    empty sequence.  One source on a fresh :class:`RuleGraph`, so
-    ``stats["expansions"]`` equals ``stats["visited"]`` and
-    ``max_expansions`` bounds both.
+    empty sequence.  One source swept on a fresh :class:`RuleGraph`
+    without the reservoir quotient, so ``stats["expansions"]`` equals
+    ``stats["visited"]`` and ``max_expansions`` bounds both.
     """
     evs = list(eigenvalues(M))
     if fresh_labels is None:
         fresh_labels = _fresh_reservoir(min(size_of(M)), [evs]) + [INFINITY]
     graph = RuleGraph(dict.fromkeys(evs + list(fresh_labels)), max_expansions)
-    reached = graph.members(graph.descendants(M))
+    reached = frozenset(map(structure_from_key, graph.sweep([structure_sort_key(M)])))
     return reached, {"visited": len(reached), "expansions": graph.expansions}

@@ -11,7 +11,10 @@ search instead of the budgeted structure enumerator, moves applied to
 block lists of labelled pairs instead of the rule graph's sort-key
 encoding, label matchings built as relabelled structures instead of on
 label codes, a fresh breadth-first search per source or path question
-instead of the rule graph, a triple-loop transitive reduction instead
+instead of the rule graph, the rules suite's former shared graph (every
+source's descendants memoized as node bitsets, no reservoir quotient)
+instead of its ancestor sweep, reservoir labels renamed on structures
+instead of on keys, a triple-loop transitive reduction instead
 of the bitset one, a depth-first transitive closure of the Hasse
 edges, and tuple sort keys for labels, structures and rule instances
 instead of the label codes the library sorts by.
@@ -27,8 +30,8 @@ from itertools import combinations, groupby, permutations
 from hypothesis import strategies as st
 
 from kcforbits import rules
-from kcforbits.rules import RuleInstance
-from kcforbits.closure import degenerates_to
+from kcforbits.rules import RuleGraph, RuleInstance
+from kcforbits.closure import degenerates_to, set_bits
 from kcforbits.core import (
     INFINITY,
     KroneckerStructure,
@@ -39,8 +42,10 @@ from kcforbits.core import (
     partitions_desc,
     relabel,
     size_of,
+    structure_sort_key,
 )
 from kcforbits.pencils import RationalPencil
+from kcforbits.verify import enumerate_structures
 
 
 def oracle_label_key(lbl):
@@ -378,6 +383,59 @@ def bfs_reachable_structures(M, fresh_labels):
                 visited.add(child)
                 queue.append(child)
     return frozenset(visited)
+
+
+def suite_sources(m, n, pool_size=None, include_infinity=True):
+    """Each canonical source with the search labels and the universe the
+    rules suite gives it, in suite order."""
+    nodes = enumerate_structures(m, n, pool_size, include_infinity=include_infinity)
+    reservoir = rules._fresh_reservoir(min(m, n), map(eigenvalues, nodes))
+    search_labels = reservoir + ([INFINITY] if include_infinity else [])
+    for M in nodes:
+        yield M, search_labels, frozenset(eigenvalues(M) + tuple(search_labels))
+
+
+def shared_graph_reached(m, n, pool_size=None, include_infinity=True):
+    """The rules suite's answers by its former search: one plain
+    ``RuleGraph`` per universe, shared by the sources in suite order, with
+    the descendants of every node memoized in post order as a bitset over
+    node indices.  Returns ``({source key: frozenset of the keys it
+    reaches}, expansions over all graphs)``."""
+    graphs, reached = {}, {}
+    for M, _, universe in suite_sources(m, n, pool_size, include_infinity):
+        graph, desc, children = graphs.setdefault(universe, (RuleGraph(universe), {}, {}))
+        root = graph.node(M)
+        stack = [root]
+        while stack:
+            i = stack[-1]
+            if i in desc:
+                stack.pop()
+                continue
+            if i not in children:
+                children[i] = list(graph.successors(i, M))
+            pending = [k for k in children[i] if k not in desc]
+            if pending:
+                stack.extend(pending)
+                continue
+            bits = 1 << i
+            for k in children[i]:
+                bits |= desc[k]
+            desc[i] = bits
+            stack.pop()
+        reached[structure_sort_key(M)] = frozenset(graph.nodes[i] for i in set_bits(desc[root]))
+    return reached, sum(graph.expansions for graph, _, _ in graphs.values())
+
+
+def reservoir_canonical(K, reservoir):
+    """``K`` with the blocks on ``reservoir`` labels relabelled: their size
+    lists ordered longest first, then largest sizes first, and moved onto
+    the reservoir labels in id order."""
+    runs = {}
+    for lbl, s in K.jordan:
+        if lbl in reservoir:
+            runs.setdefault(lbl, []).append(s)
+    order = sorted(runs, key=lambda lbl: (len(runs[lbl]), sorted(runs[lbl])), reverse=True)
+    return relabel(K, dict(zip(order, sorted(reservoir, key=oracle_label_key))))
 
 
 def bfs_reachable_path(M, L, prune=True):

@@ -184,6 +184,17 @@ class TestVerify:
         assert out == ""
         assert err == f"error: KCF_MAX_PAIRS must be a non-negative integer, got {value!r}\n"
 
+    def test_exact_pair_budget_exits_70(self, capsys, monkeypatch):
+        # 32 nodes at 3x3, and each pair suite checks 1554 pairs
+        argv = ("verify", "3", "3", "--checks", "dim,rules")
+        monkeypatch.setenv("KCF_MAX_PAIRS", "1554")
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.setenv("KCF_MAX_PAIRS", "1553")
+        code, out, err = run(capsys, *argv)
+        assert code == 70
+        assert out == ""
+        assert err == "guard limit: pair budget 1553 exceeded (32 nodes)\n"
+
     def test_rule_search_budget_exits_70(self, capsys, monkeypatch):
         def tight(m, n, **kwargs):
             return cross_validate_characterizations(m, n, **{**kwargs, "max_expansions": 1})

@@ -9,8 +9,12 @@ from conftest import (
     list_apply_rule,
     list_instances,
     list_successors,
+    reservoir_canonical,
+    shared_graph_reached,
+    suite_sources,
 )
 from kcforbits import rules
+from kcforbits import verify as verify_mod
 from kcforbits.closure import degenerates_to
 from kcforbits.core import (
     INFINITY,
@@ -20,6 +24,7 @@ from kcforbits.core import (
     finite,
     rank_of,
     size_of,
+    structure_from_key,
     structure_sort_key,
 )
 from kcforbits.errors import (
@@ -345,38 +350,65 @@ class TestReachableStructures:
         assert reachable_structures(M, fresh_labels=fresh)[0] == bfs_reachable_structures(M, fresh)
 
 
-def _suite_sources(m, n, include_infinity):
-    """Each canonical source with the search universe the rules suite gives it."""
-    nodes = enumerate_structures(m, n, include_infinity=include_infinity)
-    reservoir = rules._fresh_reservoir(min(m, n), map(eigenvalues, nodes))
-    search_labels = reservoir + ([INFINITY] if include_infinity else [])
-    for M in nodes:
-        yield M, search_labels, frozenset(eigenvalues(M) + tuple(search_labels))
-
-
 _SHARED_GRAPH_SIZES = [(m, n) for m in range(1, 5) for n in range(1, 5) if (m, n) != (4, 4)]
 
 
 @pytest.mark.parametrize("include_infinity", [True, False])
 @pytest.mark.parametrize("m,n", _SHARED_GRAPH_SIZES)
 def test_shared_graph_matches_per_source_bfs(m, n, include_infinity):
-    # one graph per universe, sources in suite order, so later sources
-    # reuse the descendant sets memoized for earlier ones
-    graphs = {}
-    for M, search_labels, universe in _suite_sources(m, n, include_infinity):
-        graph = graphs.setdefault(universe, RuleGraph(universe))
-        reached = graph.members(graph.descendants(M))
-        assert reached == bfs_reachable_structures(M, search_labels), str(M)
+    # the oracle below: one graph per universe, sources in suite order, so
+    # later sources reuse the descendant sets memoized for earlier ones
+    reached, _ = shared_graph_reached(m, n, include_infinity=include_infinity)
+    for M, search_labels, _ in suite_sources(m, n, include_infinity=include_infinity):
+        found = frozenset(map(structure_from_key, reached[structure_sort_key(M)]))
+        assert found == bfs_reachable_structures(M, search_labels), str(M)
+
+
+_SUITE_SETTINGS = [{}, {"pool_size": 1}, {"include_infinity": False}]
+
+
+@pytest.mark.parametrize("settings", _SUITE_SETTINGS, ids=["default", "pool-1", "no-infinity"])
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 6)])
+def test_rules_verdicts_match_shared_graph_oracle(monkeypatch, m, n, settings):
+    # the majorization batch is replaced by the oracle's reachability, so
+    # the suite passes exactly when its sweep agrees on every pair
+    reached, _ = shared_graph_reached(m, n, **settings)
+    batches = []
+
+    def oracle(sources, targets):
+        batches.append(len(targets))
+        return [sum(1 << k for k, L in enumerate(sources) if L.key in reached[M.key])
+                for M in targets]
+
+    monkeypatch.setattr(verify_mod, "closure_records", oracle)
+    report = cross_validate_characterizations(m, n, **settings)
+    assert report.passed
+    assert sum(batches) == report.node_count
+
+
+@pytest.mark.parametrize("m,n,expansions,oracle_expansions",
+                         [(4, 4, 607, 1981), (4, 5, 851, 2618), (5, 5, 2976, 15974)])
+def test_quotient_expansions(m, n, expansions, oracle_expansions):
+    # one expansion per class of reached structures up to reservoir labels
+    report = cross_validate_characterizations(m, n)
+    universes = report.stats["universes"]
+    assert sum(u["expansions"] for u in universes) == expansions
+    assert sum(u["sources"] for u in universes) == report.node_count
+    assert "stats" not in report.to_json_dict()
+    if (m, n) != (5, 5):  # the oracle takes seconds at 5x5
+        assert shared_graph_reached(m, n)[1] == oracle_expansions
 
 
 @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 6)])
 def test_encoded_successors_match_object_expansion(m, n):
-    # every node of every suite graph: the same children, the same first
-    # instance per child and the same order as the moves built as objects
-    graphs = {}
-    for M, _, universe in _suite_sources(m, n, True):
-        graphs.setdefault(universe, RuleGraph(universe)).descendants(M)
-    for universe, graph in graphs.items():
+    # every node of every plain universe graph: the same children, the same
+    # first instance per child and the same order as the moves built as objects
+    roots = {}
+    for M, _, universe in suite_sources(m, n):
+        roots.setdefault(universe, []).append(structure_sort_key(M))
+    for universe, keys in roots.items():
+        graph = RuleGraph(universe)
+        graph.sweep(keys)
         for i in range(len(graph.nodes)):
             K = graph.structure(i)
             encoded = [(graph.structure(k), rules._instance(move))
@@ -384,7 +416,28 @@ def test_encoded_successors_match_object_expansion(m, n):
             assert encoded == list_successors(K, universe), str(K)
 
 
-def test_rules_suite_expands_each_node_once(monkeypatch):
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 6)])
+def test_quotient_successors_match_object_expansion(m, n):
+    # every node of every suite sweep: its children are the canonical images
+    # of the children built as objects, every universe label a candidate
+    roots = {}
+    for M, search_labels, universe in suite_sources(m, n):
+        roots.setdefault(universe, []).append(structure_sort_key(M))
+    reservoir = {lbl for lbl in search_labels if not lbl.is_infinite}
+    for universe, keys in roots.items():
+        graph = RuleGraph(universe, reservoir=reservoir)
+        graph.sweep(keys)
+        for i in range(len(graph.nodes)):
+            K = graph.structure(i)
+            assert reservoir_canonical(K, reservoir) == K
+            children = {graph.structure(k) for k in graph.successors(i, K)}
+            assert children == {reservoir_canonical(child, reservoir)
+                                for child, _ in list_successors(K, universe)}, str(K)
+
+
+def _check_suite_expands_each_class_once(monkeypatch, include_infinity):
+    # each class of structures up to the reservoir labels is expanded once,
+    # and the classes are those of everything the sources reach
     calls = []
     expand = RuleGraph.successors
 
@@ -393,37 +446,50 @@ def test_rules_suite_expands_each_node_once(monkeypatch):
         return expand(graph, i, source)
 
     monkeypatch.setattr(RuleGraph, "successors", counting)
-    assert cross_validate_characterizations(3, 3).passed
+    assert cross_validate_characterizations(3, 3, include_infinity=include_infinity).passed
     monkeypatch.setattr(RuleGraph, "successors", expand)
     expected = set()
-    for M, search_labels, universe in _suite_sources(3, 3, True):
-        expected.update((K, universe) for K in bfs_reachable_structures(M, search_labels))
+    for M, search_labels, universe in suite_sources(3, 3, include_infinity=include_infinity):
+        reservoir = {lbl for lbl in search_labels if not lbl.is_infinite}
+        expected.update((reservoir_canonical(K, reservoir), universe)
+                        for K in bfs_reachable_structures(M, search_labels))
     assert len(calls) == len(set(calls))
     assert set(calls) == expected
 
 
+def test_rules_suite_expands_each_node_once(monkeypatch):
+    _check_suite_expands_each_class_once(monkeypatch, include_infinity=True)
+
+
+def test_rules_suite_without_infinity_expands_each_node_once(monkeypatch):
+    _check_suite_expands_each_class_once(monkeypatch, include_infinity=False)
+
+
 def test_rules_counterexample_is_the_searched_structure(monkeypatch):
-    # the graph misses every key with both a label of M and a reservoir
-    # label, so the first failing pair must report the structure it looked
-    # up, with every label in M's universe
+    # the sweep loses every class with both a label of M and a reservoir
+    # label, so the first failing pair must report a structure of a lost
+    # class, with every label in M's universe
     reservoir = rules._fresh_reservoir(3, map(eigenvalues, enumerate_structures(3, 3)))
     fresh = {lbl.id for lbl in reservoir}  # e<i> is coded i
-    find, missed = RuleGraph.find, set()
+    sweep, lost = RuleGraph.sweep, set()
 
-    def missing(graph, key):
-        codes = {c for c, _ in key[0]}
-        if codes & fresh and any(c < min(fresh) for c in codes):
-            missed.add(key)
-            return None
-        return find(graph, key)
+    def losing(graph, roots, keep=None):
+        out = sweep(graph, roots, keep)
+        for key in list(out):
+            codes = {c for c, _ in key[0]}
+            if codes & fresh and any(c < min(fresh) for c in codes):
+                lost.add(key)
+                del out[key]
+        return out
 
-    monkeypatch.setattr(RuleGraph, "find", missing)
+    monkeypatch.setattr(RuleGraph, "sweep", losing)
     [check] = cross_validate_characterizations(3, 3).checks
     example = check.counterexample
     assert example["majorization"] and not example["rule_reachable"]
     L, M = parse_structure(example["L"]), parse_structure(example["M"])
-    assert structure_sort_key(L) in missed
+    assert structure_sort_key(reservoir_canonical(L, set(reservoir))) in lost
     assert set(eigenvalues(L)) <= {*eigenvalues(M), *reservoir, INFINITY}
+    assert example["search"]["expansions"] > example["search"]["visited"] > 0
 
 
 def test_rules_suite_budget():
@@ -478,6 +544,8 @@ def test_rule_graph_recovers_after_budget_error():
     fresh = [e1, e2, INFINITY]
     graph = RuleGraph(dict.fromkeys(fresh), max_expansions=3)
     with pytest.raises(SearchBudgetExceededError):
-        graph.descendants(M)
+        graph.sweep([structure_sort_key(M)])
     graph.max_expansions = None
-    assert graph.members(graph.descendants(M)) == bfs_reachable_structures(M, fresh)
+    reached = graph.sweep([structure_sort_key(M)])
+    assert frozenset(map(structure_from_key, reached)) == bfs_reachable_structures(M, fresh)
+    assert set(reached.values()) == {1}

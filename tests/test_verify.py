@@ -144,6 +144,21 @@ class TestSuites:
         with pytest.raises(EnumerationLimitExceededError):
             verify_formula_identities(2, 2, max_pairs=10)
 
+    @pytest.mark.parametrize("settings", [{}, {"pool_size": 1}, {"include_infinity": False}],
+                             ids=["default", "pool-1", "no-infinity"])
+    def test_pair_budget_is_exact(self, settings):
+        # the guard counts the distinct matchings, the pairs the suites check
+        for m in range(1, 6):
+            for n in range(1, 6):
+                nodes = enumerate_structures(m, n, **settings)
+                budget = verify_mod._pair_budget([verify_mod._encode(K) for K in nodes],
+                                                 verify_mod.DEFAULT_MAX_PAIRS)
+                dim = verify_codimension_monotonicity(m, n, **settings)
+                rules_report = cross_validate_characterizations(m, n, **settings)
+                assert budget == dim.pair_count == rules_report.pair_count, (m, n)
+        with pytest.raises(EnumerationLimitExceededError):  # 5x5, refused before any work
+            cross_validate_characterizations(m, n, max_pairs=budget - 1, **settings)
+
     def test_reports_deterministic(self):
         a = verify_codimension_monotonicity(2, 2)
         b = verify_codimension_monotonicity(2, 2)
