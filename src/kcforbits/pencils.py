@@ -2,14 +2,30 @@
 
 The point of this module is an independent, numeric route to the orbit
 codimension: realize a structure as an explicit pencil A + lambda*B with
-rational entries, then compute the corank of the derivative of the group
-action (X, Y) |-> (X*A + A*Y, X*B + B*Y) by exact rank computation.
-Every rank is taken by integer elimination on Python ints: a pencil is
-scaled once by the common denominator of its entries, which keeps the
-rank of its tangent map and of each A + t*B, and no Fraction is formed
-inside the elimination.  Exhaustive agreement of that corank with the
-symbolic Weyr-characteristic formula is the main correctness evidence for
-both.
+rational entries, then compute the corank of the derivative T of the
+group action (X, Y) |-> (X*A + A*Y, X*B + B*Y) by exact rank computation.
+Every rank is taken by integer elimination on Python ints: a pencil holds
+its entries scaled once by a common denominator, which keeps the rank of
+its tangent map and of each A + t*B, and no Fraction is formed inside the
+elimination.  Exhaustive agreement of that corank with the symbolic
+Weyr-characteristic formula is the main correctness evidence for both.
+
+The rank of T is not taken on its full 2mn x (m^2 + n^2) matrix.  Output
+entry (i, j) of X*S + S*Y, S in {A, B}, meets Y only through its column
+j, with coefficients row i of S.  So, rows ordered by j, T is
+[X-part | diag(E, ..., E)] with n copies of the 2m x n block E = [A; B].
+Let U (rho rows, rho = rank E) and N (2m - rho rows) be an invertible row
+transform with U*E of full row rank and N*E = 0.  Applied to each copy,
+it makes T block-triangular, and
+
+  rank T = n * rho + rank Z,
+
+where Z, the X-part under N, is n(2m - rho) x m^2.  The row of Z for a
+null vector v = (v_A, v_B) and a column j has entry
+v_A[i]*A[t][j] + v_B[i]*B[t][j] at X[i][t].  E is eliminated once, on
+the rows [E | I], and the leftover identity parts are N.  A pencil with
+m > n is transposed first: that keeps the rank of T and makes Z the
+smaller side.
 
 Block conventions (any convention with the right elementary divisors
 works; this one keeps entries in {-mu, 0, 1}):
@@ -21,11 +37,11 @@ works; this one keeps entries in {-mu, 0, 1}):
 
 where N_k is the nilpotent single superdiagonal of ones.
 """
-
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .core import KroneckerStructure, eigenvalues, size_of
 from .errors import InvariantViolationError, MissingLabelError, NonInjectiveAssignmentError
@@ -47,12 +63,17 @@ Rational = Fraction
 
 
 def _frozen(rows):
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    return tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows)
 
 
 @dataclass(frozen=True)
 class RationalPencil:
-    """An m x n pencil A + lambda*B with exact rational entries."""
+    """An m x n pencil A + lambda*B with exact rational entries.
+
+    ``_integers`` is its integer form (d*A, d*B, d), d a common
+    denominator of the entries, as tuples of int rows.  It is computed
+    once, on first use, or handed over by :func:`_from_integers`.
+    """
 
     m: int
     n: int
@@ -89,6 +110,25 @@ class RationalPencil:
             "a": [[str(x) for x in row] for row in self.a],
             "b": [[str(x) for x in row] for row in self.b],
         }
+
+    @cached_property
+    def _integers(self):
+        d = math.lcm(*(x.denominator for mat in (self.a, self.b) for row in mat for x in row))
+
+        def scaled(mat):
+            return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in mat)
+
+        return scaled(self.a), scaled(self.b), d
+
+
+def _from_integers(m, n, a, b, d) -> RationalPencil:
+    """The m x n pencil (A/d + lambda*B/d) of the int rows ``a`` and
+    ``b``, which it keeps as its integer form."""
+    frac = Fraction if d == 1 else (lambda x: Fraction(x, d))
+    P = RationalPencil(m=m, n=n, a=[list(map(frac, row)) for row in a],
+                       b=[list(map(frac, row)) for row in b])
+    object.__setattr__(P, "_integers", (tuple(map(tuple, a)), tuple(map(tuple, b)), d))
+    return P
 
 
 def default_assignment(K: KroneckerStructure) -> dict:
@@ -164,33 +204,19 @@ def _integer_entries(row) -> dict:
     return entries
 
 
-def _integer_pencil(P: RationalPencil):
-    """Integer matrices (d*A, d*B) and the common denominator d of ``P``."""
-    d = math.lcm(*(x.denominator for mat in (P.a, P.b) for row in mat for x in row))
+def _eliminate(rows: list, ncols: int):
+    """Integer elimination of the sparse ``rows`` (maps from column to
+    nonzero int entry, changed in place) over the columns 0..ncols-1.
 
-    def scaled(mat):
-        return [[x.numerator * (d // x.denominator) for x in row] for row in mat]
-
-    return scaled(P.a), scaled(P.b), d
-
-
-def exact_rank(matrix) -> int:
-    """Rank over the rationals, by integer elimination on sparse rows.
-
-    Accepts any sequence of equal-length rows of ints or Fractions; a
-    ragged matrix raises ``ValueError``.  Each row is scaled once to
-    integers and kept as a map from column to nonzero entry.  In each
-    column, the row R0 whose entry p there is least in absolute value
-    becomes the pivot row; every other row R with a nonzero entry f in
-    that column becomes (p/g)*R - (f/g)*R0, g = gcd(p, f), divided by the
-    gcd of its own entries.  Rows with a zero in the pivot column are not
-    touched, so the zeros of a sparse matrix cost nothing, and the row
-    gcds keep the entries small.
+    In each column, the row R0 whose entry p there is least in absolute
+    value becomes the pivot row; every other row R with a nonzero entry f
+    in that column becomes (p/g)*R - (f/g)*R0, g = gcd(p, f), divided by
+    the gcd of its own entries.  Rows with a zero in the pivot column are
+    not touched, so the zeros of a sparse matrix cost nothing, and the
+    row gcds keep the entries small.  Each step is an invertible row
+    operation.  Returns the number of pivots and the rows left over,
+    which are nonzero only in columns from ``ncols`` on.
     """
-    ncols = len(matrix[0]) if len(matrix) else 0
-    if any(len(row) != ncols for row in matrix):
-        raise ValueError("exact_rank needs rows of equal length")
-    rows = [entries for entries in map(_integer_entries, matrix) if entries]
     rank = 0
     for c in range(ncols):
         if not rows:
@@ -223,31 +249,67 @@ def exact_rank(matrix) -> int:
                         r[j] //= g
                 rows.append(r)
         rank += 1
-    return rank
+    return rank, rows
+
+
+def exact_rank(matrix) -> int:
+    """Rank over the rationals, by integer elimination on sparse rows.
+
+    Accepts any sequence of equal-length rows of ints or Fractions; a
+    ragged matrix raises ``ValueError``.  Each row is scaled once to
+    integers and kept as a map from column to nonzero entry, and the
+    rows are eliminated by :func:`_eliminate`.
+    """
+    ncols = len(matrix[0]) if len(matrix) else 0
+    if any(len(row) != ncols for row in matrix):
+        raise ValueError("exact_rank needs rows of equal length")
+    return _eliminate([entries for entries in map(_integer_entries, matrix) if entries], ncols)[0]
+
+
+def _tangent_rank(P: RationalPencil):
+    """The rank of the derivative T of ``P``, and the shape of the
+    remainder Z whose rank it took (see the module docstring)."""
+    m, n = P.m, P.n
+    a, b, _ = P._integers
+    if m > n:
+        a, b, m, n = tuple(zip(*a)), tuple(zip(*b)), n, m
+    # [E | I]: row k < m is A[k], row m + k is B[k], with a 1 in column n + k
+    stacked = [{**{t: x for t, x in enumerate(row) if x}, n + k: 1}
+               for k, row in enumerate(a + b)]
+    rho, null = _eliminate(stacked, n)
+    a_cols, b_cols = tuple(zip(*a)), tuple(zip(*b))
+    remainder = []
+    for v in null:
+        for j in range(n):
+            row = {}  # entry v_A[i]*A[t][j] + v_B[i]*B[t][j] at X[i][t]
+            for k, c in v.items():
+                i, cols = (k - n, a_cols) if k - n < m else (k - n - m, b_cols)
+                for t, x in enumerate(cols[j]):
+                    if x:
+                        col = i * m + t
+                        y = row.get(col, 0) + c * x
+                        if y:
+                            row[col] = y
+                        else:
+                            del row[col]
+            if row:
+                remainder.append(row)
+    rank_z = _eliminate(remainder, m * m)[0]
+    return n * rho + rank_z, (n * len(null), m * m)
 
 
 def tangent_codimension(P: RationalPencil) -> int:
     """Codimension of the orbit of ``P``: 2mn minus the rank of the
-    derivative (X, Y) |-> (X*A + A*Y, X*B + B*Y) of the group action.
+    derivative T: (X, Y) |-> (X*A + A*Y, X*B + B*Y) of the group action.
 
-    The derivative is assembled as a 2mn x (m^2 + n^2) integer matrix
-    from d*A and d*B, d the common denominator of the pencil; scaling the
-    pencil scales the derivative and keeps its rank.
+    rank T = n * rank E + rank Z, E = [A; B] the block that every column
+    of Y meets and Z the n(2m - rank E) x m^2 remainder over X (see the
+    module docstring).  Both are ranked by integer elimination on d*A and
+    d*B, d a common denominator of the pencil; scaling the pencil scales
+    T and keeps its rank.  The full 2mn x (m^2 + n^2) matrix is never
+    built.
     """
-    m, n = P.m, P.n
-    a, b, _ = _integer_pencil(P)
-    cols = m * m + n * n
-    rows = []
-    for s in (a, b):
-        for i in range(m):
-            for j in range(n):
-                row = [0] * cols
-                for t in range(m):
-                    row[i * m + t] = s[t][j]
-                for t in range(n):
-                    row[m * m + t * n + j] += s[i][t]
-                rows.append(row)
-    return 2 * m * n - exact_rank(rows)
+    return 2 * P.m * P.n - _tangent_rank(P)[0]
 
 
 def random_equivalence(P: RationalPencil, seed: int, num_ops: int | None = None) -> RationalPencil:
@@ -257,15 +319,16 @@ def random_equivalence(P: RationalPencil, seed: int, num_ops: int | None = None)
     2*(m+n)) with small integer parameters to A and B simultaneously;
     each operation is invertible by construction, so the result is
     Q_left * P * Q_right for invertible rational Q_left, Q_right.  The
-    operations run on the integer matrices d*A and d*B, d the common
-    denominator of ``P``, and the result is divided by d once at the end.
+    operations run on the integer form (d*A, d*B) of ``P``, and the result
+    keeps its own integer form; its entries are divided by d once.
     ``num_ops=0`` returns a pencil equal to ``P``.
     """
     rng = random.Random(seed)
     m, n = P.m, P.n
     if num_ops is None:
         num_ops = 2 * (m + n)
-    a, b, d = _integer_pencil(P)
+    a, b, d = P._integers
+    a, b = [list(row) for row in a], [list(row) for row in b]
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
@@ -325,9 +388,7 @@ def random_equivalence(P: RationalPencil, seed: int, num_ops: int | None = None)
         else:
             i, j = rng.sample(range(n), 2)
             col_axpy(rng.choice(small), i, j)
-    if d != 1:
-        a, b = ([[Fraction(x, d) for x in row] for row in mat] for mat in (a, b))
-    return RationalPencil(m=m, n=n, a=a, b=b)
+    return _from_integers(m, n, a, b, d)
 
 
 def normal_rank(P: RationalPencil, sample_points=None) -> int:
@@ -337,11 +398,11 @@ def normal_rank(P: RationalPencil, sample_points=None) -> int:
     default 0, 1, ..., min(m, n).  The rank drops only at the eigenvalues,
     and there are at most min(m, n) of them, so any min(m, n) + 1
     distinct points are enough.  At t = p/q the rank is that of the
-    integer matrix q*(d*A) + p*(d*B), d the common denominator of ``P``.
+    integer matrix q*(d*A) + p*(d*B), d a common denominator of ``P``.
     """
     if sample_points is None:
         sample_points = range(min(P.m, P.n) + 1)
-    a, b, _ = _integer_pencil(P)
+    a, b, _ = P._integers
     ranks = []
     for t in sample_points:
         p, q = Fraction(t).as_integer_ratio()

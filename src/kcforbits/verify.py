@@ -25,7 +25,7 @@ from math import factorial, perm
 from operator import itemgetter
 from typing import NamedTuple
 
-from . import rules
+from . import pencils, rules
 from .closure import (
     closure_records,
     majorization_conditions,
@@ -49,7 +49,7 @@ from .core import (
     weyr_singular,
 )
 from .errors import EnumerationLimitExceededError, InvalidSizeError
-from .pencils import normal_rank, random_equivalence, realize, tangent_codimension
+from .pencils import normal_rank, random_equivalence, realize
 
 __all__ = [
     "CheckResult",
@@ -82,7 +82,8 @@ class CheckResult:
 @dataclass
 class VerificationReport:
     """A suite's verdicts.  ``stats`` counts the work done (the ``rules``
-    suite: expansions and moves per search universe); like the wall time,
+    suite: expansions and moves per search universe; the ``formulas``
+    suite: rank calls by shape and seconds per phase); like the wall time,
     it is left out of :meth:`to_json_dict`."""
 
     size: tuple
@@ -555,6 +556,12 @@ def verify_formula_identities(
     agreement of the codimension formula with the tangent corank of a
     realized pencil; and invariance of that corank and the normal rank
     under random strict equivalences.
+
+    ``stats`` holds the tangent rank calls, and per pair of shapes how
+    many took the rank of a remainder of the second shape in place of a
+    full derivative of the first; the normal rank calls and the points
+    they evaluated; and ``seconds``, the ``time.perf_counter`` totals of
+    realize, equivalence, tangent rank and normal rank.
     """
     start = time.monotonic()
     nodes = enumerate_structures(m, n, pool_size, include_infinity)
@@ -563,6 +570,25 @@ def verify_formula_identities(
             f"formula-identity budget {max_pairs} exceeded ({len(nodes)} nodes)"
         )
     tracker = _Tracker()
+    seconds = dict.fromkeys(("realize", "equivalence", "tangent_rank", "normal_rank"), 0.0)
+    shapes = Counter()  # (full derivative shape, remainder shape) per tangent rank
+    normal_points = []  # the points each normal rank evaluated
+
+    def timed(phase, fn, *args):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        seconds[phase] += time.perf_counter() - t0
+        return out
+
+    def tangent_codim(P):
+        rank, remainder = timed("tangent_rank", pencils._tangent_rank, P)
+        shapes[(2 * P.m * P.n, P.m ** 2 + P.n ** 2), remainder] += 1
+        return 2 * P.m * P.n - rank
+
+    def normal(P):
+        normal_points.append(min(P.m, P.n) + 1)
+        return timed("normal_rank", normal_rank, P)
+
     for K in nodes:
         mm, nn = size_of(K)
         r = weyr_singular(K, "right")
@@ -576,19 +602,18 @@ def verify_formula_identities(
         tracker.record("size_identities",
                        mm == sum(r[1:]) + sum(ell) + w_total
                        and nn == sum(r) + sum(ell[1:]) + w_total, info)
-        pencil = realize(K)
-        oracle = tangent_codimension(pencil)
+        pencil = timed("realize", realize, K)
+        oracle = tangent_codim(pencil)
         tracker.record(
             "codim_matches_tangent_corank",
             codimension(K) == oracle,
             {**info, "tangent_codim": oracle},
         )
         for seed in range(seed_base, seed_base + seeds):
-            moved = random_equivalence(pencil, seed)
+            moved = timed("equivalence", random_equivalence, pencil, seed)
             tracker.record(
                 "codim_invariant_under_equivalence",
-                tangent_codimension(moved) == codimension(K)
-                and normal_rank(moved) == rank_of(K),
+                tangent_codim(moved) == codimension(K) and normal(moved) == rank_of(K),
                 {**info, "seed": seed},
             )
     checks = tracker.results([
@@ -603,4 +628,12 @@ def verify_formula_identities(
         pair_count=len(nodes) * (seeds + 1),
         checks=checks,
         elapsed_seconds=time.monotonic() - start,
+        stats={
+            "tangent_calls": sum(shapes.values()),
+            "tangent_shapes": [{"full": full, "remainder": remainder, "calls": calls}
+                               for (full, remainder), calls in sorted(shapes.items())],
+            "normal_rank_calls": len(normal_points),
+            "normal_rank_points": sum(normal_points),
+            "seconds": seconds,
+        },
     )

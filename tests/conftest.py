@@ -5,7 +5,8 @@ than the library: counting formulas for the invariants instead of the
 ones a structure computes once and carries, plain rational Gaussian
 elimination and dense Bareiss elimination instead of sparse integer
 elimination, Fraction-valued pencils and tangent matrices instead of
-integer ones, the Demmel-Edelman sum over pairs of blocks instead of the
+integer ones, the full 2mn x (m^2 + n^2) tangent matrix instead of the
+block elimination of its shared Y-block, the Demmel-Edelman sum over pairs of blocks instead of the
 Weyr-characteristic codimension formula, direct block-multiset
 search instead of the budgeted structure enumerator, moves applied to
 block lists of labelled pairs instead of the rule graph's sort-key
@@ -44,7 +45,7 @@ from kcforbits.core import (
     size_of,
     structure_sort_key,
 )
-from kcforbits.pencils import RationalPencil
+from kcforbits.pencils import RationalPencil, exact_rank
 from kcforbits.verify import enumerate_structures
 
 
@@ -144,6 +145,14 @@ def fraction_tangent_matrix(P):
 def dense_tangent_codimension(P):
     """Orbit codimension of ``P`` from its Fraction tangent matrix, by Bareiss."""
     return 2 * P.m * P.n - bareiss_rank(fraction_tangent_matrix(P))
+
+
+def sparse_tangent_codimension(P):
+    """Orbit codimension of ``P`` from its full tangent matrix, scaled to
+    integers by the lcm of all denominators and ranked by sparse
+    elimination (``exact_rank``), with no block elimination."""
+    d = math.lcm(*(x.denominator for mat in (P.a, P.b) for row in mat for x in row))
+    return 2 * P.m * P.n - exact_rank([[x * d for x in row] for row in fraction_tangent_matrix(P)])
 
 
 def fraction_random_equivalence(P, seed, num_ops=None):

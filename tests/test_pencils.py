@@ -12,6 +12,7 @@ from conftest import (
     fraction_random_equivalence,
     naive_rank,
     pairwise_codimension,
+    sparse_tangent_codimension,
 )
 from kcforbits import pencils
 from kcforbits.core import (
@@ -28,6 +29,8 @@ from kcforbits.errors import (
 )
 from kcforbits.pencils import (
     RationalPencil,
+    _eliminate,
+    _tangent_rank,
     default_assignment,
     exact_rank,
     normal_rank,
@@ -160,6 +163,27 @@ class TestExactRank:
         with pytest.raises(ValueError):
             exact_rank(mat)
 
+    def test_eliminate_leaves_the_left_null_space(self):
+        # on [E | I], the identity parts left over span {v : v*E = 0}
+        rng = random.Random(2026)
+        for trial in range(200):
+            rows, cols = rng.randrange(1, 9), rng.randrange(1, 7)
+            mat = [[rng.randrange(-5, 6) if rng.random() < 0.6 else 0 for _ in range(cols)]
+                   for _ in range(rows)]
+            if trial % 2 and rows > 2:
+                mat[-1] = [2 * x - 3 * y for x, y in zip(mat[0], mat[1])]
+            stacked = [{**{c: x for c, x in enumerate(row) if x}, cols + k: 1}
+                       for k, row in enumerate(mat)]
+            rank, left = _eliminate(stacked, cols)
+            assert rank == naive_rank(mat)
+            assert len(left) == rows - rank
+            null = [[v.get(cols + k, 0) for k in range(rows)] for v in left]
+            assert all(k >= cols for v in left for k in v)
+            for v in null:
+                assert [sum(v[k] * mat[k][c] for k in range(rows)) for c in range(cols)] \
+                    == [0] * cols
+            assert naive_rank(null) == len(null)
+
     def test_dense_growth_bound(self):
         rng = random.Random(72)
         mat = [[rng.randint(-10**6, 10**6) for _ in range(72)] for _ in range(72)]
@@ -188,6 +212,44 @@ class TestTangentCodimension:
             for seed in range(5):
                 moved = random_equivalence(P, seed)
                 assert tangent_codimension(moved) == dense_tangent_codimension(moved), (K, seed)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_transposed_matches_dense_oracle(self, n):
+        # m = 5 > n: the pencil is transposed, so the remainder is over n^2 columns
+        for K in enumerate_structures(5, n):
+            for P in (realize(K), random_equivalence(realize(K), 11)):
+                assert tangent_codimension(P) == dense_tangent_codimension(P), K
+                assert _tangent_rank(P)[1][1] == n * n
+
+    @pytest.mark.parametrize("K", [
+        S(right=[0]),
+        S(left=[0]),
+        S(right=[0, 0], left=[0]),
+        S(jordan=[(e1, 2)], right=[0], left=[1]),
+        S(jordan=[(INFINITY, 1)], right=[0, 1], left=[0, 0]),
+        S(right=[0, 2], left=[0]),
+        S(jordan=[(e1, 1), (e2, 1)], right=[0, 0, 0]),
+        S(left=[0, 0, 1, 2]),
+    ], ids=str)
+    def test_rank_deficient_stacked_block(self, K):
+        # L(0) and LT(0) blocks are zero columns and rows, so E = [A; B]
+        # (or [A, B] after the transpose) has rank below its column count
+        P = realize(K)
+        zero_blocks = (K.right if P.m <= P.n else K.left).count(0)
+        for Q in (P, random_equivalence(P, 3), random_equivalence(P, 8)):
+            m, n = sorted((Q.m, Q.n))
+            a, b = (Q.a, Q.b) if Q.m <= Q.n else (list(zip(*Q.a)), list(zip(*Q.b)))
+            rho = naive_rank(list(a) + list(b))
+            assert zero_blocks and rho == n - zero_blocks
+            assert _tangent_rank(Q)[1] == (n * (2 * m - rho), m * m)
+            assert (tangent_codimension(Q) == dense_tangent_codimension(Q)
+                    == sparse_tangent_codimension(Q) == codimension(K)), K
+
+    def test_matches_full_sparse_elimination(self):
+        for m, n in ((3, 4), (4, 3), (2, 5)):
+            for K in enumerate_structures(m, n):
+                P = random_equivalence(realize(K), 5)
+                assert tangent_codimension(P) == sparse_tangent_codimension(P), K
 
     def test_fractional_pencils(self):
         for m in range(1, 4):
@@ -233,6 +295,15 @@ class TestRandomEquivalence:
                 P = realize(K)
                 for seed in range(10):
                     assert random_equivalence(P, seed) == fraction_random_equivalence(P, seed)
+
+    def test_hands_over_its_integer_form(self):
+        P = realize(S(jordan=[(e1, 2), (e2, 1)], right=[1]), {e1: Fraction(1, 2), e2: Fraction(-2, 3)})
+        moved = random_equivalence(P, 4)
+        a, b, d = vars(moved)["_integers"]  # kept from the operations, not recomputed
+        assert d == 6
+        for ints, fracs in ((a, moved.a), (b, moved.b)):
+            assert all(type(x) is int for row in ints for x in row)
+            assert tuple(tuple(Fraction(x, d) for x in row) for row in ints) == fracs
 
     def test_eigenvalue_preserved(self):
         P = realize(S(jordan=[(e1, 1)]), {e1: 5})

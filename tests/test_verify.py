@@ -126,6 +126,23 @@ class TestSuites:
             "codim_invariant_under_equivalence",
         ]
 
+    @pytest.mark.parametrize("m,n", [(3, 3), (4, 2)])
+    def test_formulas_stats(self, m, n):
+        report = verify_formula_identities(m, n)
+        stats = report.stats
+        assert report.passed and "stats" not in report.to_json_dict()
+        shapes = stats["tangent_shapes"]
+        assert stats["tangent_calls"] == report.pair_count == sum(s["calls"] for s in shapes)
+        small, large = sorted((m, n))
+        for s in shapes:
+            # a remainder of large * (2 * small - rank E) rows over small^2 columns
+            rows, cols = s["remainder"]
+            assert s["full"] == (2 * m * n, m * m + n * n)
+            assert cols == small ** 2 and rows % large == 0 and rows <= 2 * small * large
+        assert stats["normal_rank_calls"] == report.node_count * 5
+        assert stats["normal_rank_points"] == stats["normal_rank_calls"] * (small + 1)
+        assert set(stats["seconds"]) == {"realize", "equivalence", "tangent_rank", "normal_rank"}
+
     def test_zero_violations_at_full_scale(self):
         # dim and rules suites at every size up to 3x3, formulas up to 4x4
         for m in range(1, 4):
