@@ -89,12 +89,26 @@ def degenerates_to(L: KroneckerStructure, M: KroneckerStructure) -> bool:
     with disjoint eigenvalues are unrelated unless the Jordan parts can
     vanish into the shifts.
     """
-    h = _rank_drop(L, M)
-    return h >= 0 and all(
-        lhs <= rhs
-        for _, lower, upper in majorization_conditions(L, M)
-        for _, lhs, rhs in _partial_sums(lower, upper, h)
-    )
+    return _in_closure(L._invariants(), M._invariants())
+
+
+def _in_closure(L, M) -> bool:
+    """:func:`degenerates_to` on the invariant records of L and M.
+
+    A record carries ``size``, ``rank``, ``r``, ``l`` and ``weyr`` as in
+    :func:`closure_records`; the labels of ``weyr`` are only compared for
+    equality, so label codes serve as well as labels.  A label of M alone
+    has an empty sequence on L's side, whose condition always holds.
+    """
+    if L.size != M.size:
+        raise SizeMismatchError(f"cannot compare {L.size} with {M.size}")
+    h = L.rank - M.rank
+    if h < 0:
+        return False
+    weyr_m = dict(M.weyr)
+    pairs = [(M.r, L.r), (M.l, L.l)] + [(seq, weyr_m.get(mu, ())) for mu, seq in L.weyr]
+    return all(lhs <= rhs for lower, upper in pairs
+               for _, lhs, rhs in _partial_sums(lower, upper, h))
 
 
 def same_orbit(L: KroneckerStructure, M: KroneckerStructure) -> bool:

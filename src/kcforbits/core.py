@@ -179,13 +179,28 @@ def _compute_invariants(K: KroneckerStructure) -> _Invariants:
                        tuple([lbl for lbl, _ in weyr]), r, ell, weyr, codim)
 
 
-def block_invariants(jordan, right, left) -> tuple:
+class _BlockInvariants(NamedTuple):
+    size: tuple  # (m, n)
+    r: tuple
+    l: tuple
+    weyr: tuple
+    codim: int
+
+    @property
+    def rank(self) -> int:
+        """n minus the number of right singular blocks, r_0."""
+        return self.size[1] - (self.r[0] if self.r else 0)
+
+
+def block_invariants(jordan, right, left) -> _BlockInvariants:
     """((m, n), r, l, weyr, codim) of sorted blocks, by the Weyr formula.
 
     ``jordan`` holds (label, size) pairs sorted by label, then size, so each
     label's sizes are one run; labels are only compared for equality, so
     the label codes of :func:`structure_sort_key` serve as well as
-    :class:`EigenvalueLabel`.
+    :class:`EigenvalueLabel`.  The result also reads by field name, and its
+    ``rank`` makes it a record for the closure test of
+    :mod:`kcforbits.closure`.
     """
     weyr = tuple([
         (lbl, _weyr([s for _, s in run], 1)) for lbl, run in groupby(jordan, key=itemgetter(0))
@@ -196,7 +211,7 @@ def block_invariants(jordan, right, left) -> tuple:
     codim = len(left) * n + len(right) * m
     codim -= sum(map(mul, r, r[1:])) + sum(map(mul, ell, ell[1:]))
     codim += sum([sum(map(mul, seq, seq)) for _, seq in weyr])
-    return (m, n), r, ell, weyr, codim
+    return _BlockInvariants((m, n), r, ell, weyr, codim)
 
 
 def _weyr(sorted_sizes, start: int) -> tuple:

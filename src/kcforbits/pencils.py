@@ -398,7 +398,8 @@ def normal_rank(P: RationalPencil, sample_points=None) -> int:
     default 0, 1, ..., min(m, n).  The rank drops only at the eigenvalues,
     and there are at most min(m, n) of them, so any min(m, n) + 1
     distinct points are enough.  At t = p/q the rank is that of the
-    integer matrix q*(d*A) + p*(d*B), d a common denominator of ``P``.
+    integer matrix q*(d*A) + p*(d*B), d a common denominator of ``P``,
+    whose nonzero entries go straight to :func:`_eliminate`.
     """
     if sample_points is None:
         sample_points = range(min(P.m, P.n) + 1)
@@ -406,7 +407,7 @@ def normal_rank(P: RationalPencil, sample_points=None) -> int:
     ranks = []
     for t in sample_points:
         p, q = Fraction(t).as_integer_ratio()
-        ranks.append(exact_rank([
-            [q * x + p * y for x, y in zip(row_a, row_b)] for row_a, row_b in zip(a, b)
-        ]))
+        rows = [{j: v for j, (x, y) in enumerate(zip(row_a, row_b)) if (v := q * x + p * y)}
+                for row_a, row_b in zip(a, b)]
+        ranks.append(_eliminate([row for row in rows if row], P.n)[0])
     return max(ranks)

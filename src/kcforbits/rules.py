@@ -33,7 +33,12 @@ permutations of the reservoir labels, which no source uses.
 :func:`apply_rule` and :func:`applicable_instances` run the same moves on
 the keys of their arguments and decode.  :func:`reachable_structures` is
 a one-source sweep without that quotient, and :func:`reachable` is a
-breadth-first path query over :meth:`RuleGraph.successors`.
+breadth-first path query over :meth:`RuleGraph.successors`.  Pruned, the
+path query cuts every child at or below the target's codimension other
+than the target, then tests the closure condition on the invariants of
+the children left, read from their keys by :func:`block_invariants`; it
+decodes only the path it returns.  The prune-free query still never
+consults majorizations.
 """
 
 from collections import deque
@@ -42,7 +47,7 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations, groupby
 from operator import itemgetter
 
-from .closure import degenerates_to
+from .closure import _in_closure
 from .core import (
     INFINITY,
     EigenvalueLabel,
@@ -448,10 +453,14 @@ def reachable(M: KroneckerStructure, L: KroneckerStructure, prune: bool = True,
     reusable fresh labels, enough for every transient eigenvalue pattern.
     ``max_expansions`` bounds the structures expanded.
 
-    With ``prune`` the search discards children that fail the necessary
-    closure condition ``degenerates_to(L, child)``, tested once per
-    structure; without it the search never consults majorizations and
-    serves as the independent oracle for the closure test.
+    With ``prune`` the search rejects, once per structure, the children
+    that cannot lie on a path to ``L``: first, with no further test, every
+    child other than ``L`` at or below ``L``'s codimension, which is never
+    queued anyway; then every child whose invariants, read from its key by
+    :func:`block_invariants`, fail the closure test against ``L``'s, which
+    are computed once.  No child is decoded into a structure.  Without
+    ``prune`` the search never consults majorizations and serves as the
+    independent oracle for the closure test.
     """
     if size_of(M) != size_of(L):
         raise SizeMismatchError(f"cannot search between sizes {size_of(M)} and {size_of(L)}")
@@ -463,6 +472,8 @@ def reachable(M: KroneckerStructure, L: KroneckerStructure, prune: bool = True,
     target_codim = graph.codims[goal]
     if graph.codims[root] <= target_codim:
         return None
+    target = block_invariants(*graph.nodes[goal])
+    nodes, codims = graph.nodes, graph.codims
     parents = {root: None}
     rejected = set()
     queue = deque([root])
@@ -471,7 +482,8 @@ def reachable(M: KroneckerStructure, L: KroneckerStructure, prune: bool = True,
         for k, move in graph.successors(i, M).items():
             if k in parents or k in rejected:
                 continue
-            if prune and not degenerates_to(L, graph.structure(k)):
+            if prune and k != goal and (codims[k] <= target_codim or not _in_closure(
+                    target, block_invariants(*nodes[k]))):
                 rejected.add(k)
                 continue
             parents[k] = (i, move)
@@ -481,7 +493,7 @@ def reachable(M: KroneckerStructure, L: KroneckerStructure, prune: bool = True,
                     k, move = parents[k]
                     path.append(_instance(move))
                 return path[::-1]
-            if graph.codims[k] > target_codim:
+            if codims[k] > target_codim:
                 queue.append(k)
     return None
 

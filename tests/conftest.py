@@ -30,7 +30,7 @@ from itertools import combinations, groupby, permutations
 
 from hypothesis import strategies as st
 
-from kcforbits import rules
+from kcforbits import closure, rules
 from kcforbits.rules import RuleGraph, RuleInstance
 from kcforbits.closure import degenerates_to, set_bits
 from kcforbits.core import (
@@ -469,7 +469,7 @@ def bfs_reachable_path(M, L, prune=True):
             assert codimension(child) < codimension(state)
             if child in parents:
                 continue
-            if prune and not rules.degenerates_to(L, child):
+            if prune and not closure.degenerates_to(L, child):
                 continue
             parents[child] = (state, inst)
             if child == L:

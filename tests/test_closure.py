@@ -17,10 +17,12 @@ from kcforbits.closure import (
 from kcforbits.core import (
     INFINITY,
     KroneckerStructure,
+    block_invariants,
     eigenvalues,
     finite,
     rank_of,
     structure_from_key,
+    structure_sort_key,
 )
 from kcforbits.errors import DuplicateNodeError, InvariantViolationError, SizeMismatchError
 from kcforbits.verify import enumerate_structures, label_matchings
@@ -227,6 +229,30 @@ class TestClosureGraph:
         monkeypatch.setattr(closure, "degenerates_to", refuse)
         nodes = enumerate_structures(3, 3)
         assert build_closure_graph(nodes).edges == naive_hasse_edges(nodes)
+
+
+class TestRecordClosure:
+    """The closure test on records, as the pruned path search runs it on
+    invariants read from keys, with label codes for labels."""
+
+    @pytest.mark.parametrize("m,n,pairs", [(3, 3, 1554), (3, 4, 2579), (4, 4, 15075)])
+    def test_key_records_match_structures(self, m, n, pairs):
+        nodes = enumerate_structures(m, n)
+        seen = 0
+        for M in nodes:
+            child = block_invariants(*structure_sort_key(M))
+            for L0 in nodes:
+                for L in label_matchings(L0, eigenvalues(M)):
+                    verdict = closure._in_closure(block_invariants(*structure_sort_key(L)), child)
+                    assert verdict == degenerates_to(L, M), (str(L), str(M))
+                    assert verdict == majorization_report(L, M)["in_closure"], (str(L), str(M))
+                    seen += 1
+        assert seen == pairs
+
+    def test_size_mismatch(self):
+        with pytest.raises(SizeMismatchError):
+            closure._in_closure(block_invariants(*structure_sort_key(J1)),
+                                block_invariants(*structure_sort_key(S(right=[1]))))
 
 
 def oracle_bitsets(sources, targets):

@@ -52,6 +52,10 @@ GOLDEN = [
     (("path", "J(1;e1) + J(1;e1) + J(1;inf) + L(0) + LT(0)",
       "J(1;e3) + J(2;e3) + J(1;e4)", "--no-prune", "--json"), 3,
      "f09e440b8269d4ecf31ea03ec62c8b619cc16503d6382634626d71c5088a69e3"),
+    # a pruned 5x5 path across a codimension gap of 27
+    (("path", "L(0) + L(0) + L(0) + LT(0) + LT(0) + LT(0) + J(2;e1)",
+      "J(3;e1) + J(2;e2)", "--json"), 0,
+     "75b2537c5ca7a5f92e9b9374e32ba2ba12deed857d32e63bcf30c1cb7ddfc41c"),
     # the verifier's encoded label matchings: the rules suite at 5x5, and
     # both pair suites without infinity and with a one-label pool
     (("verify", "5", "5", "--checks", "rules", "--json"), 0,

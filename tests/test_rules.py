@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ from conftest import (
     shared_graph_reached,
     suite_sources,
 )
+from kcforbits import closure as closure_mod
 from kcforbits import rules
 from kcforbits import verify as verify_mod
 from kcforbits.closure import degenerates_to
@@ -243,18 +245,28 @@ class TestReachable:
     def test_pruned_search_tests_each_structure_once(self, monkeypatch):
         M = S(right=[0, 0, 0], left=[0, 0, 0])  # zero 3x3
         L = S(jordan=[(e1, 3)])
-        calls = []
+        oracle_calls, tested = [], []
+        in_closure = rules._in_closure
 
-        def counting(target, K):
-            calls.append(K)
+        def counting_oracle(target, K):
+            oracle_calls.append(K)
             return degenerates_to(target, K)
 
-        monkeypatch.setattr(rules, "degenerates_to", counting)
+        def counting(target, child):
+            tested.append(child)
+            return in_closure(target, child)
+
+        monkeypatch.setattr(closure_mod, "degenerates_to", counting_oracle)
         expected = bfs_reachable_path(M, L)
-        assert len(calls) > len(set(calls))  # the oracle re-tests structures
-        calls.clear()
+        assert len(oracle_calls) > len(set(oracle_calls))  # the oracle re-tests structures
+        monkeypatch.setattr(rules, "_in_closure", counting)
+        oracle_calls.clear()
         assert reachable(M, L) == expected
-        assert len(calls) == len(set(calls))
+        assert not oracle_calls  # the search never builds a structure to test
+        assert tested
+        # a record's r, l and weyr fix its structure, so equal records are one child
+        assert len(tested) == len(set(tested))
+        assert all(child.codim > codimension(L) for child in tested)
 
 
 def _all_pairs(m, n):
@@ -297,6 +309,24 @@ def test_prune_modes_agree_exhaustively(m, n):
 def test_paths_match_bfs_oracle(m, n, prune):
     for M, L in _all_pairs(m, n):
         assert reachable(M, L, prune=prune) == bfs_reachable_path(M, L, prune), (str(M), str(L))
+
+
+@pytest.mark.parametrize("m,n", [(4, 4), (4, 5)])
+def test_pruned_paths_match_bfs_oracle_over_gaps(m, n):
+    # seeded in-closure pairs, five per codimension gap 1..8, as the
+    # benchmark's path questions are drawn
+    rng = random.Random(f"paths:{m}x{n}")
+    nodes = enumerate_structures(m, n)
+    for gap in range(1, 9):
+        found = 0
+        while found < 5:
+            M = rng.choice(nodes)
+            L = rng.choice(label_matchings(rng.choice(nodes), eigenvalues(M)))
+            if codimension(M) - codimension(L) != gap or not degenerates_to(L, M):
+                continue
+            path = reachable(M, L, prune=True)
+            assert path is not None and path == bfs_reachable_path(M, L, True), (str(M), str(L))
+            found += 1
 
 
 @pytest.mark.parametrize("m,n", [(1, 3), (3, 1), (2, 3), (3, 2), (3, 3)])
