@@ -3,7 +3,9 @@
 Exit codes: 0 success or affirmative answer, 2 verification failure,
 oracle mismatch or violated internal invariant, 3 negative answer to a
 yes/no query, 64 usage errors, 65 structure-notation errors, 70 guard
-limits exceeded.  One budget, 10^7 by default and overridden with the
+limits exceeded.  A reader that closes the pipe early (``kcf graph 6 6
+--json | head -1``) ends the command quietly with 0: the rest of the
+output is dropped.  One budget, 10^7 by default and overridden with the
 ``KCF_MAX_PAIRS`` environment variable, bounds the pair checks and rule
 expansions of ``verify``, the rule expansions of ``path``, the node
 pairs of ``graph`` and the matrix cells that ``realize`` and
@@ -332,6 +334,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader is gone: send what is left, and the flush at exit, to devnull
+        sys.stdout = open(os.devnull, "w")
+        return EXIT_OK
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

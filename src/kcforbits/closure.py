@@ -95,10 +95,9 @@ def degenerates_to(L: KroneckerStructure, M: KroneckerStructure) -> bool:
 def _in_closure(L, M) -> bool:
     """:func:`degenerates_to` on the invariant records of L and M.
 
-    A record carries ``size``, ``rank``, ``r``, ``l`` and ``weyr`` as in
-    :func:`closure_records`; the labels of ``weyr`` are only compared for
-    equality, so label codes serve as well as labels.  A label of M alone
-    has an empty sequence on L's side, whose condition always holds.
+    A record is a :class:`core._Invariants` on label codes, as in
+    :func:`closure_records`.  A label of M alone has an empty sequence on
+    L's side, whose condition always holds.
     """
     if L.size != M.size:
         raise SizeMismatchError(f"cannot compare {L.size} with {M.size}")
@@ -221,10 +220,9 @@ def _dominated(universe, queries, size: int, count: int) -> list:
 def closure_records(sources: list, targets: list) -> list:
     """:func:`closure_bitsets` on invariant records instead of structures.
 
-    A record carries ``size``, ``rank``, ``r``, ``l`` and ``weyr`` as a
-    structure's invariants do (``weyr`` as (label, sequence) pairs); the
-    labels are only compared for equality, so any hashable codes serve,
-    provided sources and targets share them.
+    A record is a :class:`core._Invariants`, read for its ``size``,
+    ``rank``, ``r``, ``l`` and ``weyr`` ((code, sequence) pairs); codes are
+    only compared for equality, so sources and targets must share them.
     """
     batch = sources + targets
     weyr = {}
@@ -254,8 +252,7 @@ def closure_bitsets(sources, targets) -> list:
     own in every coordinate, found by one threshold lookup per coordinate,
     so no pair is tested on its own.  The profiles are read from the
     carried invariants through :func:`closure_records`, which the verifier
-    also feeds with encoded re-embeddings that are never built as
-    structures.
+    also feeds with label matchings that are never built as structures.
     """
     return closure_records([K._invariants() for K in sources],
                            [K._invariants() for K in targets])

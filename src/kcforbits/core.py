@@ -13,6 +13,12 @@ Eigenvalues are opaque labels rather than complex numbers.  Every
 quantity computed here depends only on which blocks share an eigenvalue,
 never on its numeric value, so labels suffice; exact numeric pencils are
 produced separately by :mod:`kcforbits.pencils`.
+
+The invariants form one record on label codes
+(:meth:`EigenvalueLabel.sort_key`), keyed by :func:`structure_sort_key`:
+a structure carries its record and hashes from its key, and the rule
+graph and the verifier's matcher read records from keys without building
+structures.
 """
 
 import math
@@ -32,7 +38,6 @@ __all__ = [
     "block_invariants",
     "rank_of",
     "weyr_jordan",
-    "weyr_jordan_pairs",
     "weyr_singular",
     "codimension",
     "orbit_dimension",
@@ -102,13 +107,20 @@ def _jordan_key(entry):
 
 
 class _Invariants(NamedTuple):
-    hash_value: int  # hash of structure_sort_key: ints and math.inf only
+    """The invariants of one structure, on label codes.
+
+    ``key`` is the :func:`structure_sort_key`; ``weyr`` holds (code,
+    (W_1, W_2, ...)) pairs in code order.  Structures carry this record,
+    the rule graph reads it from keys, and the verifier's matcher renames
+    its codes, so :mod:`kcforbits.closure` decides every pair on it.
+    """
+
+    key: tuple
     size: tuple  # (m, n)
     rank: int
-    labels: tuple  # distinct eigenvalues, in label order
     r: tuple  # (r_0, r_1, ...)
     l: tuple  # (l_0, l_1, ...)
-    weyr: tuple  # (label, (W_1, W_2, ...)) pairs, in label order
+    weyr: tuple
     codim: int
 
 
@@ -122,12 +134,11 @@ class KroneckerStructure:
     on construction, so equality is multiset equality with eigenvalue
     labels compared as concrete identities.
 
-    The invariants and the hash are computed on first use and then
-    carried (a race only computes the same values twice); read them
-    through the module functions.  The hash is that of
-    :func:`structure_sort_key`, built from ints and ``math.inf`` only, so
-    it does not depend on ``PYTHONHASHSEED`` and a copy pickled under
-    another seed hashes alike.
+    The invariant record is computed on first use and then carried (a race
+    only computes the same values twice); read it through the module
+    functions.  The hash is that of the record's key, built from ints and
+    ``math.inf`` only, so it does not depend on ``PYTHONHASHSEED`` and a
+    copy pickled under another seed hashes alike.
     """
 
     jordan: tuple = ()
@@ -156,54 +167,37 @@ class KroneckerStructure:
         object.__setattr__(self, "left", left)
 
     def __hash__(self) -> int:
-        return self._invariants().hash_value
+        return hash(self._invariants().key)
 
     def _invariants(self) -> _Invariants:
         if self._inv is None:
-            object.__setattr__(self, "_inv", _compute_invariants(self))
+            object.__setattr__(self, "_inv", block_invariants(*structure_sort_key(self)))
         return self._inv
 
     def __str__(self) -> str:
-        terms = [f"J({s};{lbl})" for lbl, s in self.jordan]
-        terms += [f"L({k})" for k in self.right]
-        terms += [f"LT({k})" for k in self.left]
-        return " + ".join(terms)
+        return _render_blocks(self.jordan, self.right, self.left)
 
     def __repr__(self) -> str:
         return f"<{self}>" if (self.jordan or self.right or self.left) else "<empty pencil>"
 
 
-def _compute_invariants(K: KroneckerStructure) -> _Invariants:
-    size, r, ell, weyr, codim = block_invariants(K.jordan, K.right, K.left)
-    return _Invariants(hash(structure_sort_key(K)), size, size[1] - len(K.right),
-                       tuple([lbl for lbl, _ in weyr]), r, ell, weyr, codim)
+def _render_blocks(jordan, right, left) -> str:
+    """``J(s;mu) + ... + L(k) + ... + LT(k) + ...``, terms in the given order."""
+    terms = [f"J({s};{lbl})" for lbl, s in jordan]
+    terms += [f"L({k})" for k in right]
+    terms += [f"LT({k})" for k in left]
+    return " + ".join(terms)
 
 
-class _BlockInvariants(NamedTuple):
-    size: tuple  # (m, n)
-    r: tuple
-    l: tuple
-    weyr: tuple
-    codim: int
+def block_invariants(jordan, right, left) -> _Invariants:
+    """The invariant record of the structure whose key is (jordan, right, left).
 
-    @property
-    def rank(self) -> int:
-        """n minus the number of right singular blocks, r_0."""
-        return self.size[1] - (self.r[0] if self.r else 0)
-
-
-def block_invariants(jordan, right, left) -> _BlockInvariants:
-    """((m, n), r, l, weyr, codim) of sorted blocks, by the Weyr formula.
-
-    ``jordan`` holds (label, size) pairs sorted by label, then size, so each
-    label's sizes are one run; labels are only compared for equality, so
-    the label codes of :func:`structure_sort_key` serve as well as
-    :class:`EigenvalueLabel`.  The result also reads by field name, and its
-    ``rank`` makes it a record for the closure test of
-    :mod:`kcforbits.closure`.
+    ``jordan`` holds (code, size) pairs sorted by code, then size, so each
+    code's sizes are one run; the codimension is the Weyr formula.  The
+    rule graph reads records from its keys without building structures.
     """
     weyr = tuple([
-        (lbl, _weyr([s for _, s in run], 1)) for lbl, run in groupby(jordan, key=itemgetter(0))
+        (c, _weyr([s for _, s in run], 1)) for c, run in groupby(jordan, key=itemgetter(0))
     ])
     r, ell = _weyr(right, 0), _weyr(left, 0)
     m, n = size_from_blocks(jordan, right, left)
@@ -211,7 +205,7 @@ def block_invariants(jordan, right, left) -> _BlockInvariants:
     codim = len(left) * n + len(right) * m
     codim -= sum(map(mul, r, r[1:])) + sum(map(mul, ell, ell[1:]))
     codim += sum([sum(map(mul, seq, seq)) for _, seq in weyr])
-    return _BlockInvariants((m, n), r, ell, weyr, codim)
+    return _Invariants((jordan, right, left), (m, n), n - len(right), r, ell, weyr, codim)
 
 
 def _weyr(sorted_sizes, start: int) -> tuple:
@@ -248,7 +242,12 @@ def rank_of(K: KroneckerStructure) -> int:
 
 def eigenvalues(K: KroneckerStructure) -> tuple:
     """Distinct eigenvalue labels of ``K``, in label order."""
-    return K._invariants().labels
+    # each label's blocks are one run of K.jordan, W_1 blocks long
+    out, i = [], 0
+    for _, seq in K._invariants().weyr:
+        out.append(K.jordan[i][0])
+        i += seq[0]
+    return tuple(out)
 
 
 def is_weakly_decreasing(seq) -> bool:
@@ -272,12 +271,7 @@ def weyr_jordan(K: KroneckerStructure, mu: EigenvalueLabel) -> tuple:
 
     Empty when ``mu`` is not an eigenvalue of ``K``.
     """
-    return next((seq for lbl, seq in K._invariants().weyr if lbl == mu), ())
-
-
-def weyr_jordan_pairs(K: KroneckerStructure) -> tuple:
-    """(mu, weyr_jordan(K, mu)) for every eigenvalue mu of ``K``, in label order."""
-    return K._invariants().weyr
+    return dict(K._invariants().weyr).get(mu.sort_key(), ())
 
 
 def weyr_singular(K: KroneckerStructure, side: str) -> tuple:

@@ -53,6 +53,7 @@ from .core import (
     EigenvalueLabel,
     KroneckerStructure,
     _label,
+    _render_blocks,
     block_invariants,
     eigenvalues,
     finite,
@@ -255,15 +256,9 @@ def apply_rule(K: KroneckerStructure, inst: RuleInstance) -> KroneckerStructure:
 
 
 def describe_instance(inst: RuleInstance) -> str:
-    def side(triple):
-        terms = [f"J({s};{lbl})" for lbl, s in triple[0]]
-        terms += [f"L({k})" for k in triple[1]]
-        terms += [f"LT({k})" for k in triple[2]]
-        return " + ".join(terms) if terms else "(nothing)"
-
-    consumed, produced = _exchange(
-        (inst.rule_id, inst.j, inst.k, inst.p, inst.q, inst.mu, inst.parts))
-    return f"rule {inst.rule_id}: {side(consumed)} ~> {side(produced)}"
+    consumed, produced = (_render_blocks(*side) or "(nothing)" for side in _exchange(
+        (inst.rule_id, inst.j, inst.k, inst.p, inst.q, inst.mu, inst.parts)))
+    return f"rule {inst.rule_id}: {consumed} ~> {produced}"
 
 
 def applicable_instances(K: KroneckerStructure, label_pool) -> list:
@@ -296,24 +291,19 @@ def _fresh_reservoir(count: int, label_sets) -> list:
     return [finite(max(ids, default=0) + 1 + i) for i in range(count)]
 
 
-def _canonical_runs(runs) -> list:
-    """Reservoir run size tuples in canonical order: longer runs first,
-    then larger sizes first."""
-    return sorted(runs, key=lambda sizes: (len(sizes), sizes), reverse=True)
-
-
 def _canonical(key, reservoir):
-    """``key`` with its runs on the ``reservoir`` codes renamed, in
-    :func:`_canonical_runs` order, onto the reservoir codes in increasing
-    order: keys that differ by a permutation of the reservoir codes get
-    one canonical key."""
+    """``key`` with its runs on the ``reservoir`` codes renamed, longer runs
+    first and then larger sizes first, onto the reservoir codes in
+    increasing order: keys that differ by a permutation of the reservoir
+    codes get one canonical key."""
     jordan, right, left = key
     fixed = [block for block in jordan if block[0] not in reservoir]
     if len(fixed) == len(jordan):
         return key
     runs = [tuple([s for _, s in run]) for _, run in
             groupby([block for block in jordan if block[0] in reservoir], key=itemgetter(0))]
-    fixed += [(c, s) for c, sizes in zip(sorted(reservoir), _canonical_runs(runs)) for s in sizes]
+    runs.sort(key=lambda sizes: (len(sizes), sizes), reverse=True)
+    fixed += [(c, s) for c, sizes in zip(sorted(reservoir), runs) for s in sizes]
     return tuple(sorted(fixed)), right, left
 
 
@@ -362,10 +352,10 @@ class RuleGraph:
         idx = self._index.get(key)
         if idx is None:
             idx = self._index[key] = len(self.nodes)
-            size, _, _, _, codim = block_invariants(*key)
+            inv = block_invariants(*key)
             self.nodes.append(key)
-            self.codims.append(codim)
-            self.sizes.append(size)
+            self.codims.append(inv.codim)
+            self.sizes.append(inv.size)
         return idx
 
     def _rule6_parts(self, total: int, used: tuple) -> list:

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from itertools import count, groupby
 from math import factorial, perm
 from operator import itemgetter
-from typing import NamedTuple
 
 from . import pencils, rules
 from .closure import (
@@ -45,7 +44,6 @@ from .core import (
     structure_from_key,
     structure_sort_key,
     weyr_jordan,
-    weyr_jordan_pairs,
     weyr_singular,
 )
 from .errors import EnumerationLimitExceededError, InvalidSizeError
@@ -215,44 +213,12 @@ def _regular_parts(total: int, pool_size: int, include_infinity: bool):
     return out
 
 
-class _Matched(NamedTuple):
-    """One label matching, encoded: the structure is never built.
-
-    ``key`` is the :func:`structure_sort_key` of the matched structure, so
-    equal keys are the same orbit and :func:`structure_from_key` builds
-    it.  ``canon`` is ``key`` with the runs on fresh ids in the rule
-    search's canonical order (:func:`rules._canonical_runs`): the key of
-    its class up to permutations of the fresh ids.  The other fields are
-    the invariants :func:`closure_records` and the suites read, those of
-    the matched node with ``weyr`` on the same label codes.
-    """
-
-    key: tuple
-    canon: tuple
-    size: tuple
-    rank: int
-    r: tuple
-    l: tuple
-    weyr: tuple
-    codim: int
-
-
 _INF = INFINITY.sort_key()
 
 
-def _encode(K: KroneckerStructure) -> _Matched:
-    """``K`` as its own matching; its key is taken as canonical."""
-    key = structure_sort_key(K)
-    return _Matched(
-        key, key, size_of(K), rank_of(K), weyr_singular(K, "right"),
-        weyr_singular(K, "left"),
-        tuple([(mu.sort_key(), seq) for mu, seq in weyr_jordan_pairs(K)]), codimension(K),
-    )
-
-
-def _matchings(node: _Matched, targets: tuple, base: int) -> list:
-    """The label matchings of an encoded ``node`` against the sorted finite
-    codes ``targets``, encoded and in key order.
+def _matchings(node, targets: tuple, base: int) -> list:
+    """The label matchings of the invariant record ``node`` against the
+    sorted finite codes ``targets``, as records in key order.
 
     Each is an injective partial map from the node's finite codes into
     ``targets``, with the rest sent, in code order, to the fresh ids
@@ -260,8 +226,9 @@ def _matchings(node: _Matched, targets: tuple, base: int) -> list:
     stays put.  Maps giving the same key are one matching.  A key is fixed
     by the block sizes each target receives and the sequence of sizes sent
     to fresh ids, so the finite labels are placed one at a time and equal
-    partial placements are merged, never listing a map twice.  Sorting
-    that sequence gives the canonical key.
+    partial placements are merged, never listing a map twice.  Each
+    matching is ``node`` with its key and its Weyr codes renamed; the other
+    invariants do not depend on the labels.
     """
     jordan, right, left = node.key
     runs = [(c, tuple([s for _, s in run])) for c, run in groupby(jordan, key=itemgetter(0))]
@@ -282,19 +249,11 @@ def _matchings(node: _Matched, targets: tuple, base: int) -> list:
     for placed, fresh in states:
         matched = [(c, sizes) for c, sizes in zip(targets, placed) if sizes is not None]
         blocks = matched + list(zip(count(base), fresh)) + infinite
-        key = (_jordan(blocks), right, left)
-        ordered = tuple(rules._canonical_runs(fresh)) if len(fresh) > 1 else fresh
-        canon = key if ordered == fresh else (
-            _jordan(matched + list(zip(count(base), ordered)) + infinite), right, left)
-        out.append(_Matched(key, canon, node.size, node.rank, node.r, node.l,
-                            tuple([(c, weyr_of[sizes]) for c, sizes in blocks]), node.codim))
+        jordan = tuple([(c, s) for c, sizes in blocks for s in sizes])
+        out.append(node._replace(key=(jordan, right, left),
+                                 weyr=tuple([(c, weyr_of[sizes]) for c, sizes in blocks])))
     out.sort(key=itemgetter(0))
     return out
-
-
-def _jordan(blocks) -> tuple:
-    """The Jordan part of a key from (code, sizes) runs in code order."""
-    return tuple([(c, s) for c, sizes in blocks for s in sizes])
 
 
 def label_matchings(K: KroneckerStructure, target_labels) -> list:
@@ -310,7 +269,7 @@ def label_matchings(K: KroneckerStructure, target_labels) -> list:
     on label codes, with the fresh sequence on the rule search's reservoir,
     and never builds these structures; here they are decoded.
     """
-    node = _encode(K)
+    node = K._invariants()
     targets = tuple(sorted({lbl.sort_key() for lbl in target_labels if not lbl.is_infinite}))
     base = 1 + max([mu for mu, _ in node.weyr if mu != _INF] + list(targets), default=0)
     return [structure_from_key(L.key) for L in _matchings(node, targets, base)]
@@ -337,7 +296,7 @@ def _matching_count(runs: tuple, targets: int) -> int:
     return total
 
 
-def _pair_budget(encoded, max_pairs) -> int:
+def _pair_budget(records, max_pairs) -> int:
     """The number of pairs the suites check, exactly; fail fast when over
     budget.  Each node M checks the matchings of every node against its
     finite labels, and their number depends only on the matched node's
@@ -346,7 +305,7 @@ def _pair_budget(encoded, max_pairs) -> int:
     """
     runs = Counter(tuple([tuple([s for _, s in run]) for c, run in
                           groupby(node.key[0], key=itemgetter(0)) if c != _INF])
-                   for node in encoded)
+                   for node in records)
     rows = Counter(len(node_runs) for node_runs in runs.elements())
     total = 0
     for targets, row_count in sorted(rows.items()):
@@ -354,7 +313,7 @@ def _pair_budget(encoded, max_pairs) -> int:
             total += row_count * node_count * _matching_count(node_runs, targets)
             if total > max_pairs:
                 raise EnumerationLimitExceededError(
-                    f"pair budget {max_pairs} exceeded ({len(encoded)} nodes)"
+                    f"pair budget {max_pairs} exceeded ({len(records)} nodes)"
                 )
     return total
 
@@ -364,25 +323,26 @@ def _closure_rows(nodes, max_pairs, base):
 
     ``sources`` are the label matchings of every node against M's finite
     eigenvalues, unmatched labels sent to ``base, base + 1, ...``, in node
-    order, as encoded :class:`_Matched` records; bit k of ``related`` is
+    order: each node's carried invariant record with its codes renamed by
+    :func:`_matchings`, never built as a structure; bit k of ``related`` is
     ``degenerates_to`` of source k and M.  The sources depend only on M's
     finite labels (infinity always matches itself), so each finite label
     set is matched once, one :func:`_matchings` call per node, and decided
     by one :func:`closure_records` batch over all of its nodes.
     """
-    encoded = [_encode(M) for M in nodes]
-    _pair_budget(encoded, max_pairs)
-    finite_labels = [tuple([mu for mu, _ in node.weyr if mu != _INF]) for node in encoded]
+    records = [M._invariants() for M in nodes]
+    _pair_budget(records, max_pairs)
+    finite_labels = [tuple([mu for mu, _ in node.weyr if mu != _INF]) for node in records]
     groups = {}
     for i, targets in enumerate(finite_labels):
         groups.setdefault(targets, []).append(i)
     matched, related = {}, {}
     for i, (M, targets) in enumerate(zip(nodes, finite_labels)):
         if targets not in matched:
-            matched[targets] = [L for node in encoded for L in _matchings(node, targets, base)]
+            matched[targets] = [L for node in records for L in _matchings(node, targets, base)]
             group = groups[targets]
             related.update(zip(group, closure_records(matched[targets],
-                                                      [encoded[j] for j in group])))
+                                                      [records[j] for j in group])))
         yield M, matched[targets], related.pop(i)
 
 
@@ -407,7 +367,7 @@ def verify_codimension_monotonicity(
     pair_count = 0
     for M, sources, related in _closure_rows(nodes, max_pairs, base):
         pair_count += len(sources)
-        target = _encode(M)
+        target = M._invariants()
         cm = target.codim
         for k in set_bits(related):
             L = sources[k]
@@ -461,8 +421,9 @@ def cross_validate_characterizations(
     uses a reservoir label, so the reservoir labels are interchangeable
     and the sweep keeps nodes up to their permutations.  The matcher sends
     unmatched labels onto the reservoir, so every re-embedded target L lies
-    in M's universe; its canonical key (``canon``) is looked up among the
-    bitsets the sweep kept, and the bit of M is compared with
+    in M's universe; its canonical key, from the graph's
+    :func:`rules._canonical` once per finite eigenvalue set, is looked up
+    among the bitsets the sweep kept, and the bit of M is compared with
     ``degenerates_to(L, M)``, read from one :func:`closure_records` batch
     per finite eigenvalue set.  ``max_expansions`` bounds each sweep.
 
@@ -488,9 +449,10 @@ def cross_validate_characterizations(
         labels = _finite_labels(M)
         if labels not in sweeps:
             graph = rules.RuleGraph(labels + search_labels, max_expansions, reservoir)
-            reached = graph.sweep(roots[labels], {L.canon for L in sources})
+            canon = [rules._canonical(L.key, graph._reservoir) for L in sources]
+            reached = graph.sweep(roots[labels], set(canon))
             # bit k of entry s: does source s reach target k
-            reach = _transpose([reached.get(L.canon, 0) for L in sources], len(roots[labels]))
+            reach = _transpose([reached.get(key, 0) for key in canon], len(roots[labels]))
             sweeps[labels] = graph, reached, reach
             universes.append({"finite_labels": len(labels), "sources": len(roots[labels]),
                               "expansions": graph.expansions, "moves": graph.moves})

@@ -249,8 +249,9 @@ def _counting_weyr(sizes, include_zero=False):
 def reference_invariants(K):
     """The invariants a structure carries, from its blocks by counting.
 
-    Keys are the fields of ``K._invariants()`` but its hash.  The
-    codimension is the Weyr-characteristic formula summed term by term.
+    Keys are the fields of ``K._invariants()`` but its key, plus the
+    distinct labels; ``weyr`` is on labels, not codes.  The codimension is
+    the Weyr-characteristic formula summed term by term.
     """
     labels = tuple(sorted({lbl for lbl, _ in K.jordan}, key=oracle_label_key))
     weyr = tuple((mu, _counting_weyr([s for lbl, s in K.jordan if lbl == mu])) for mu in labels)

@@ -1,14 +1,16 @@
+import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
 from conftest import check_dot
-from kcforbits import cli
-from kcforbits import verify as verify_mod
+from kcforbits import cli, core
 from kcforbits.cli import main
 from kcforbits.closure import build_closure_graph
-from kcforbits.core import codimension
 from kcforbits.verify import cross_validate_characterizations, enumerate_structures
 
 
@@ -165,10 +167,13 @@ class TestVerify:
 
     def test_injected_fault_exits_2(self, capsys, monkeypatch):
         # negated codimensions fail exactly codim_monotone at 1x1
-        monkeypatch.setattr(verify_mod, "codimension", lambda K: -codimension(K))
+        real = core.block_invariants
+        monkeypatch.setattr(core, "block_invariants",
+                            lambda *blocks: (inv := real(*blocks))._replace(codim=-inv.codim))
         code, out, _ = run(capsys, "verify", "1", "1", "--checks", "dim")
         assert code == 2
         assert "violations found" in out
+        assert "FAIL codim_monotone" in out and out.count("FAIL") == 1
 
     def test_guard_limit_exits_70(self, capsys, monkeypatch):
         monkeypatch.setenv("KCF_MAX_PAIRS", "3")
@@ -359,3 +364,29 @@ class TestByteStability:
                 "dim": 1,
             },
         ]
+
+
+class _ClosedPipe(io.TextIOBase):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedPipe:
+    def test_in_process_exits_0(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        code = main(["graph", "2", "2", "--json"])
+        # the rest of the output, and the final flush, go to devnull
+        assert sys.stdout.name == os.devnull
+        sys.stdout.close()
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
+    def test_reader_closing_after_one_line(self):
+        argv = [sys.executable, "-m", "kcforbits.cli", "graph", "6", "6", "--json"]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()  # the output is far larger than a pipe's buffer
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert err == b""

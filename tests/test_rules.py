@@ -128,6 +128,14 @@ class TestApplyRule:
         text = describe_instance(RuleInstance(5, j=1, k=2, mu=e1))
         assert "J(1;e1)" in text and "J(3;e1)" in text
 
+    def test_describe_keeps_part_order(self):
+        # rule-6 parts render larger first, as the instance lists them, not by label
+        inst = RuleInstance(6, p=1, q=1, parts=((1, e1), (2, e3)))
+        assert describe_instance(inst) == "rule 6: L(1) + LT(1) ~> J(2;e3) + J(1;e1)"
+        assert describe_instance(RuleInstance(1, j=1, k=1)) == "rule 1: L(0) + L(2) ~> L(1) + L(1)"
+        assert describe_instance(RuleInstance(3, j=0, k=0, mu=e1)) == \
+            "rule 3: J(1;e1) + L(0) ~> L(1)"
+
 
 class TestApplicableInstances:
     def test_zero_structure(self):
@@ -534,8 +542,7 @@ class TestInvariantChecks:
         real = rules.block_invariants
 
         def codimension(*blocks):
-            size, r, ell, weyr, _ = real(*blocks)
-            return size, r, ell, weyr, -1 if blocks == encoded else 0
+            return real(*blocks)._replace(codim=-1 if blocks == encoded else 0)
 
         monkeypatch.setattr(rules, "block_invariants", codimension)
         with pytest.raises(InvariantViolationError):
@@ -556,7 +563,8 @@ class TestInvariantChecks:
             "from kcforbits.errors import InvariantViolationError\n"
             "from kcforbits.cli import main\n"
             "assert False, 'asserts must be stripped here'\n"
-            "rules.block_invariants = lambda *blocks: ((0, 0), (), (), (), 0)\n"
+            "real = rules.block_invariants\n"
+            "rules.block_invariants = lambda *b: real(*b)._replace(size=(0, 0), codim=0)\n"
             "try:\n"
             "    rules.reachable_structures(KroneckerStructure(right=[0], left=[0]))\n"
             "except InvariantViolationError:\n"

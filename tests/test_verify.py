@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from conftest import brute_force_structures, relabel_matchings
+from conftest import brute_force_structures, relabel_matchings, reservoir_canonical
 from kcforbits.core import (
     INFINITY,
     KroneckerStructure,
@@ -14,11 +14,12 @@ from kcforbits.core import (
     rank_of,
     size_of,
     structure_from_key,
-    weyr_jordan_pairs,
+    structure_sort_key,
+    weyr_jordan,
     weyr_singular,
 )
 from kcforbits.errors import EnumerationLimitExceededError, InvalidSizeError
-from kcforbits import rules
+from kcforbits import core, rules
 from kcforbits import verify as verify_mod
 from kcforbits.verify import (
     cross_validate_characterizations,
@@ -168,7 +169,7 @@ class TestSuites:
         for m in range(1, 6):
             for n in range(1, 6):
                 nodes = enumerate_structures(m, n, **settings)
-                budget = verify_mod._pair_budget([verify_mod._encode(K) for K in nodes],
+                budget = verify_mod._pair_budget([K._invariants() for K in nodes],
                                                  verify_mod.DEFAULT_MAX_PAIRS)
                 dim = verify_codimension_monotonicity(m, n, **settings)
                 rules_report = cross_validate_characterizations(m, n, **settings)
@@ -183,7 +184,9 @@ class TestSuites:
 
     def test_fault_injection_reports_failure(self, monkeypatch):
         # negated codimensions break monotonicity but keep every equality
-        monkeypatch.setattr(verify_mod, "codimension", lambda K: -codimension(K))
+        real = core.block_invariants
+        monkeypatch.setattr(core, "block_invariants",
+                            lambda *blocks: (inv := real(*blocks))._replace(codim=-inv.codim))
         report = verify_codimension_monotonicity(1, 1)
         assert not report.passed
         failed = [c for c in report.checks if not c.passed]
@@ -216,19 +219,42 @@ class TestEncodedMatchings:
             targets = tuple(lbl.id for lbl in labels if not lbl.is_infinite)
             for K in nodes:
                 expected = relabel_matchings(K, labels, base)
-                encoded = verify_mod._matchings(verify_mod._encode(K), targets, base)
+                encoded = verify_mod._matchings(K._invariants(), targets, base)
                 assert [structure_from_key(L.key) for L in encoded] == expected, (K, labels)
                 assert label_matchings(K, labels) == relabel_matchings(K, labels)
                 for L, S in zip(encoded, expected):
                     # sorted (code, size) pairs: infinity codes above every finite id
                     assert list(L.key[0]) == sorted(L.key[0])
-                    assert L.key == verify_mod._encode(S).key
+                    assert L.key == S._invariants().key
                     assert (L.size, L.rank, L.r, L.l, L.codim) == (
                         size_of(S), rank_of(S), weyr_singular(S, "right"),
                         weyr_singular(S, "left"), codimension(S))
                     assert sorted(L.weyr) == sorted(
-                        (math.inf if mu.is_infinite else mu.id, seq)
-                        for mu, seq in weyr_jordan_pairs(S))
+                        (math.inf if mu.is_infinite else mu.id, weyr_jordan(S, mu))
+                        for mu in eigenvalues(S))
+
+    @pytest.mark.parametrize("pool_size, include_infinity",
+                             [(None, True), (None, False), (1, True)],
+                             ids=["default", "no-infinity", "pool-1"])
+    def test_canonical_keys_of_the_rules_suite(self, pool_size, include_infinity):
+        # the key each matching is looked up under in the rule graph's sweep
+        renamed = 0
+        for m in range(1, 5):
+            for n in range(1, 6):
+                nodes = enumerate_structures(m, n, pool_size, include_infinity)
+                reservoir = rules._fresh_reservoir(min(m, n), map(eigenvalues, nodes))
+                codes = frozenset(lbl.id for lbl in reservoir)
+                for labels in dict.fromkeys(eigenvalues(M) for M in nodes):
+                    targets = tuple(lbl.id for lbl in labels if not lbl.is_infinite)
+                    for K in nodes:
+                        for L in verify_mod._matchings(K._invariants(), targets, reservoir[0].id):
+                            expected = reservoir_canonical(structure_from_key(L.key),
+                                                           set(reservoir))
+                            canon = rules._canonical(L.key, codes)
+                            assert canon == structure_sort_key(expected), (m, n, L.key)
+                            renamed += canon != L.key
+        # with one finite label per node, one fresh run is already canonical
+        assert renamed > 0 if pool_size is None else renamed == 0
 
     def test_arbitrary_labels(self):
         K = S(jordan=[(e1, 1), (e2, 2), (finite(9), 1), (INFINITY, 1)])
