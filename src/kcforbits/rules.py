@@ -27,18 +27,22 @@ or :class:`RuleInstance` only for an answer.  :meth:`RuleGraph.sweep` is
 an ancestor sweep: every move lowers the codimension, so nodes popped
 from a heap keyed by (-codimension, key) pop after every node that
 reaches them, each carrying the complete bitset of the roots that reach
-it.  The exhaustive verifier sweeps once per eigenvalue-label universe,
-with all of the universe's sources as roots, and keeps nodes up to
-permutations of the reservoir labels, which no source uses.
-:func:`apply_rule` and :func:`applicable_instances` run the same moves on
-the keys of their arguments and decode.  :func:`reachable_structures` is
-a one-source sweep without that quotient, and :func:`reachable` is a
-breadth-first path query over :meth:`RuleGraph.successors`.  Pruned, the
-path query cuts every child at or below the target's codimension other
-than the target, then tests the closure condition on the invariants of
-the children left, read from their keys by :func:`block_invariants`; it
-decodes only the path it returns.  The prune-free query still never
-consults majorizations.
+it.  Reservoir labels are universe labels that no root uses, so the ones
+a node does not use are interchangeable: rule 6 draws them as a prefix,
+one move per coincidence pattern.  The exhaustive verifier sweeps once
+per eigenvalue-label universe, with all of the universe's sources as
+roots, and also renames the reservoir labels of every child canonically,
+keeping nodes up to their permutations.  :func:`apply_rule` and
+:func:`applicable_instances` run the same moves on the keys of their
+arguments and decode.  :func:`reachable_structures` is a one-source sweep
+with no reservoir, and :func:`reachable` is a breadth-first path query
+over :meth:`RuleGraph.successors` that draws its fresh labels as a
+reservoir but keeps its nodes concrete, so every step names real labels.
+Pruned, the path query cuts every child at or below the target's
+codimension other than the target, then tests the closure condition on
+the invariants of the children left, read from their keys by
+:func:`block_invariants`; it decodes only the path it returns.  The
+prune-free query still never consults majorizations.
 """
 
 from collections import deque
@@ -321,23 +325,29 @@ class RuleGraph:
     edge, so the graph is acyclic and :meth:`sweep` may visit nodes by
     decreasing codimension, each after all of its ancestors.
 
-    ``reservoir`` names universe labels that no root of a sweep uses.
-    They are then interchangeable, and nodes are kept up to permutations
-    of their codes (:func:`_canonical`): rule 6 takes the reservoir codes a
-    node already uses as concrete candidates and the unused ones as fresh,
-    with the part tuples listed once per (total, codes used).
+    ``reservoir`` names universe labels that no root uses.  The reservoir
+    codes a node does not use are then interchangeable: any permutation of
+    them fixes the node and the roots and maps paths to paths of equal
+    length.  So rule 6 takes the reservoir codes a node uses as concrete
+    candidates and draws the unused ones as a prefix, larger parts first,
+    which is the least move of its orbit in sorted order; the part tuples
+    are listed once per (total, codes used).  Nodes stay concrete, as the
+    path search needs.  With ``canonical`` each child is also renamed
+    (:func:`_canonical`), so nodes are kept up to permutations of the
+    reservoir codes: the quotient the verifier's sweep runs on.
     ``expansions`` and ``moves`` count the expansions and the moves listed
     over the graph's life, and ``max_expansions`` bounds the expansions.
     """
 
-    def __init__(self, universe, max_expansions=None, reservoir=()):
+    def __init__(self, universe, max_expansions=None, reservoir=(), canonical=False):
         self.universe = list(universe)
         self.max_expansions = max_expansions
         self.expansions = self.moves = 0
         self._reservoir = frozenset(lbl.sort_key() for lbl in reservoir)
         self._fixed = sorted({lbl.sort_key() for lbl in self.universe} - self._reservoir)
         self._parts = {}  # rule-6 part tuples by (total, reservoir codes used)
-        self._canon = {}  # canonical key by child key: children repeat across nodes
+        # canonical key by child key, when renaming: children repeat across nodes
+        self._canon = {} if canonical else None
         self._index = {}
         self.nodes, self.codims, self.sizes = [], [], []
 
@@ -384,7 +394,7 @@ class RuleGraph:
         kids = {}
         for move in moves:
             child = _apply(key, move)
-            if reservoir:
+            if canon is not None:
                 known = canon.get(child)
                 if known is None:
                     known = canon[child] = _canonical(child, reservoir)
@@ -441,6 +451,9 @@ def reachable(M: KroneckerStructure, L: KroneckerStructure, prune: bool = True,
     above ``L`` in codimension are expanded.  Rule-6 eigenvalues are drawn
     from the labels of ``M`` and ``L`` plus a reservoir of min(m, n)
     reusable fresh labels, enough for every transient eigenvalue pattern.
+    The reservoir labels a structure does not use are interchangeable, so
+    rule 6 draws them once per coincidence pattern, as the graph's prefix;
+    the structures are not renamed, so each step names the labels it uses.
     ``max_expansions`` bounds the structures expanded.
 
     With ``prune`` the search rejects, once per structure, the children
@@ -457,7 +470,8 @@ def reachable(M: KroneckerStructure, L: KroneckerStructure, prune: bool = True,
     if M == L:
         return []
     evs = sorted(set(eigenvalues(M)) | set(eigenvalues(L)), key=EigenvalueLabel.sort_key)
-    graph = RuleGraph(evs + _fresh_reservoir(min(size_of(M)), [evs]), max_expansions)
+    fresh = _fresh_reservoir(min(size_of(M)), [evs])
+    graph = RuleGraph(evs + fresh, max_expansions, fresh)
     root, goal = graph.node(M), graph.node(L)
     target_codim = graph.codims[goal]
     if graph.codims[root] <= target_codim:

@@ -448,7 +448,8 @@ def cross_validate_characterizations(
     for M, sources, related in _closure_rows(nodes, max_pairs, reservoir[0].sort_key()):
         labels = _finite_labels(M)
         if labels not in sweeps:
-            graph = rules.RuleGraph(labels + search_labels, max_expansions, reservoir)
+            graph = rules.RuleGraph(labels + search_labels, max_expansions, reservoir,
+                                    canonical=True)
             canon = [rules._canonical(L.key, graph._reservoir) for L in sources]
             reached = graph.sweep(roots[labels], set(canon))
             # bit k of entry s: does source s reach target k

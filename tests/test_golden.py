@@ -56,6 +56,10 @@ GOLDEN = [
     (("path", "L(0) + L(0) + L(0) + LT(0) + LT(0) + LT(0) + J(2;e1)",
       "J(3;e1) + J(2;e2)", "--json"), 0,
      "75b2537c5ca7a5f92e9b9374e32ba2ba12deed857d32e63bcf30c1cb7ddfc41c"),
+    # a 6x6 path with rule-6 steps at fresh labels (375 expansions)
+    (("path", "J(1;inf) + J(2;inf) + L(0) + L(1) + LT(0) + LT(0)", "J(5;e3) + J(1;e4)",
+      "--json"), 0,
+     "0b386db422d978a2f81f624c9bfa51117149651f2ef35fe6655b6ee1ad1c5db7"),
     # the verifier's encoded label matchings: the rules suite at 5x5, and
     # both pair suites without infinity and with a one-label pool
     (("verify", "5", "5", "--checks", "rules", "--json"), 0,

@@ -20,6 +20,7 @@ from kcforbits import verify as verify_mod
 from kcforbits.closure import degenerates_to
 from kcforbits.core import (
     INFINITY,
+    EigenvalueLabel,
     KroneckerStructure,
     codimension,
     eigenvalues,
@@ -250,6 +251,18 @@ class TestReachable:
         with pytest.raises(SearchBudgetExceededError):
             reachable(M, L, max_expansions=1)
 
+    def test_budget_covers_a_6x6_path(self):
+        # unused reservoir labels are drawn once per coincidence pattern:
+        # 375 expansions here, 2 052 when rule 6 draws every labelling
+        M = parse_structure("J(1;inf) + J(2;inf) + L(0) + L(1) + LT(0) + LT(0)")
+        L = parse_structure("J(5;e3) + J(1;e4)")
+        path = reachable(M, L, max_expansions=400)
+        assert path is not None and len(path) == 5
+        state = M
+        for inst in path:
+            state = apply_rule(state, inst)
+        assert state == L
+
     def test_pruned_search_tests_each_structure_once(self, monkeypatch):
         M = S(right=[0, 0, 0], left=[0, 0, 0])  # zero 3x3
         L = S(jordan=[(e1, 3)])
@@ -312,8 +325,11 @@ def test_prune_modes_agree_exhaustively(m, n):
             assert len(pruned) == len(free)  # both breadth-first shortest
 
 
-@pytest.mark.parametrize("prune", [True, False])
-@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 4) for n in range(1, 4)])
+_ORACLE_SIZES = [(m, n) for m in range(1, 4) for n in range(1, 4)] + [(2, 4), (4, 2)]
+
+
+@pytest.mark.parametrize("m,n,prune", [(m, n, prune) for m, n in _ORACLE_SIZES
+                                       for prune in (False, True)] + [(3, 4, True)])
 def test_paths_match_bfs_oracle(m, n, prune):
     for M, L in _all_pairs(m, n):
         assert reachable(M, L, prune=prune) == bfs_reachable_path(M, L, prune), (str(M), str(L))
@@ -463,7 +479,7 @@ def test_quotient_successors_match_object_expansion(m, n):
         roots.setdefault(universe, []).append(structure_sort_key(M))
     reservoir = {lbl for lbl in search_labels if not lbl.is_infinite}
     for universe, keys in roots.items():
-        graph = RuleGraph(universe, reservoir=reservoir)
+        graph = RuleGraph(universe, reservoir=reservoir, canonical=True)
         graph.sweep(keys)
         for i in range(len(graph.nodes)):
             K = graph.structure(i)
@@ -471,6 +487,27 @@ def test_quotient_successors_match_object_expansion(m, n):
             children = {graph.structure(k) for k in graph.successors(i, K)}
             assert children == {reservoir_canonical(child, reservoir)
                                 for child, _ in list_successors(K, universe)}, str(K)
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 5) if m * n < 16])
+def test_reservoir_successors_are_concrete_orbit_representatives(m, n):
+    # the path search's graph: the reservoir codes a node does not use are
+    # drawn as a prefix, and children are not renamed, so every child is a
+    # child of the full draw and the full draw's children are its images
+    # under permutations of the reservoir labels
+    for M in enumerate_structures(m, n):
+        evs = sorted(eigenvalues(M), key=EigenvalueLabel.sort_key)
+        fresh = rules._fresh_reservoir(min(m, n), [evs])
+        graph = RuleGraph(evs + fresh, reservoir=fresh)
+        graph.sweep([structure_sort_key(M)])
+        for i in range(len(graph.nodes)):
+            K = graph.structure(i)
+            drawn = [(graph.structure(k), rules._instance(move))
+                     for k, move in graph.successors(i, K).items()]
+            full = list_successors(K, evs + fresh)
+            assert set(drawn) <= set(full), str(K)
+            assert ({reservoir_canonical(child, set(fresh)) for child, _ in drawn}
+                    == {reservoir_canonical(child, set(fresh)) for child, _ in full}), str(K)
 
 
 def _check_suite_expands_each_class_once(monkeypatch, include_infinity):
