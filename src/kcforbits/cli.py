@@ -180,8 +180,9 @@ _SUITES = {
 def cmd_verify(args):
     wanted = [name.strip() for name in args.checks.split(",") if name.strip()]
     unknown = [name for name in wanted if name not in _SUITES]
-    if unknown:
-        raise _UsageError(f"unknown checks: {', '.join(unknown)} (choose from dim, rules, formulas)")
+    if unknown or not wanted:
+        problem = f"unknown checks: {', '.join(unknown)}" if unknown else "no checks selected"
+        raise _UsageError(f"{problem} (choose from dim, rules, formulas)")
     max_pairs = _max_pairs()
     reports = {}
     for name in wanted:

@@ -14,16 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .core import (
-    EigenvalueLabel,
-    KroneckerStructure,
-    codimension,
-    eigenvalues,
-    rank_of,
-    size_of,
-    weyr_jordan,
-    weyr_singular,
-)
+from .core import KroneckerStructure, _label, codimension, size_of
 from .errors import DuplicateNodeError, InvariantViolationError, SizeMismatchError
 
 __all__ = [
@@ -66,18 +57,34 @@ def majorization_conditions(L: KroneckerStructure, M: KroneckerStructure):
     In this order: r(M) against r(L), l(M) against l(L), then W(mu, L)
     against W(mu, M) for each eigenvalue mu of either structure, in label
     order.  Each holds when ``lower`` is weakly majorized by ``upper``
-    shifted by the rank drop h.
+    shifted by the rank drop h.  Structures of different sizes raise
+    :class:`SizeMismatchError`.
     """
-    yield "right", weyr_singular(M, "right"), weyr_singular(L, "right")
-    yield "left", weyr_singular(M, "left"), weyr_singular(L, "left")
-    for mu in sorted({*eigenvalues(L), *eigenvalues(M)}, key=EigenvalueLabel.sort_key):
-        yield f"eigenvalue {mu}", weyr_jordan(L, mu), weyr_jordan(M, mu)
+    for side, lower, upper in _conditions(L._invariants(), M._invariants())[1]:
+        yield _condition_name(side), lower, upper
 
 
-def _rank_drop(L: KroneckerStructure, M: KroneckerStructure) -> int:
-    if size_of(L) != size_of(M):
-        raise SizeMismatchError(f"cannot compare {size_of(L)} with {size_of(M)}")
-    return rank_of(L) - rank_of(M)
+def _conditions(L, M):
+    """h = rank L - rank M and the majorizations behind ``degenerates_to``,
+    on the invariant records of L and M.
+
+    A record is a :class:`core._Invariants` on label codes, as in
+    :func:`closure_records`.  The conditions are (side or label code,
+    lower, upper) in the order of :func:`majorization_conditions`, labels
+    by code.  A label of M alone has an empty ``lower``, whose condition
+    always holds.
+    """
+    if L.size != M.size:
+        raise SizeMismatchError(f"cannot compare {L.size} with {M.size}")
+    weyr_l, weyr_m = dict(L.weyr), dict(M.weyr)
+    conditions = [("right", M.r, L.r), ("left", M.l, L.l)]
+    conditions += [(mu, weyr_l.get(mu, ()), weyr_m.get(mu, ()))
+                   for mu in sorted(weyr_l.keys() | weyr_m.keys())]
+    return L.rank - M.rank, conditions
+
+
+def _condition_name(side) -> str:
+    return side if isinstance(side, str) else f"eigenvalue {_label(side)}"
 
 
 def degenerates_to(L: KroneckerStructure, M: KroneckerStructure) -> bool:
@@ -93,21 +100,11 @@ def degenerates_to(L: KroneckerStructure, M: KroneckerStructure) -> bool:
 
 
 def _in_closure(L, M) -> bool:
-    """:func:`degenerates_to` on the invariant records of L and M.
-
-    A record is a :class:`core._Invariants` on label codes, as in
-    :func:`closure_records`.  A label of M alone has an empty sequence on
-    L's side, whose condition always holds.
-    """
-    if L.size != M.size:
-        raise SizeMismatchError(f"cannot compare {L.size} with {M.size}")
-    h = L.rank - M.rank
-    if h < 0:
-        return False
-    weyr_m = dict(M.weyr)
-    pairs = [(M.r, L.r), (M.l, L.l)] + [(seq, weyr_m.get(mu, ())) for mu, seq in L.weyr]
-    return all(lhs <= rhs for lower, upper in pairs
-               for _, lhs, rhs in _partial_sums(lower, upper, h))
+    """:func:`degenerates_to` on the invariant records of L and M, through
+    :func:`_conditions`."""
+    h, conditions = _conditions(L, M)
+    return h >= 0 and all(lhs <= rhs for _, lower, upper in conditions
+                          for _, lhs, rhs in _partial_sums(lower, upper, h))
 
 
 def same_orbit(L: KroneckerStructure, M: KroneckerStructure) -> bool:
@@ -122,15 +119,15 @@ def same_orbit(L: KroneckerStructure, M: KroneckerStructure) -> bool:
 
 def majorization_report(L: KroneckerStructure, M: KroneckerStructure) -> dict:
     """Full partial-sum witnesses behind ``degenerates_to(L, M)``."""
-    h = _rank_drop(L, M)
+    h, majorizations = _conditions(L._invariants(), M._invariants())
     conditions = []
-    for name, lower, upper in majorization_conditions(L, M) if h >= 0 else ():
+    for side, lower, upper in majorizations if h >= 0 else ():
         rows = [
             {"j": j, "lhs": lhs, "rhs": rhs, "ok": lhs <= rhs}
             for j, lhs, rhs in _partial_sums(lower, upper, h)
         ]
         conditions.append({
-            "condition": name,
+            "condition": _condition_name(side),
             "lower": list(lower),
             "upper": list(upper),
             "shift": h,

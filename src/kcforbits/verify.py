@@ -14,7 +14,10 @@ then checks, over all ordered pairs in a shared eigenvalue-label space:
 Pairs are produced from canonical representatives by re-embedding one
 side into a shared pool through every label matching up to symmetry,
 since the closure test depends on which eigenvalues of the two
-structures coincide.  Reports are deterministic for fixed inputs.
+structures coincide.  The pair suites run one finite eigenvalue set of
+the target at a time: its matchings, its closure batch and, for the
+rule route, its search universe are built, checked and dropped before
+the next set's.  Reports are deterministic for fixed inputs.
 """
 
 import time
@@ -25,15 +28,11 @@ from math import factorial, perm
 from operator import itemgetter
 
 from . import pencils, rules
-from .closure import (
-    closure_records,
-    majorization_conditions,
-    majorization_report,
-    set_bits,
-)
+from .closure import _conditions, closure_records, majorization_report, set_bits
 from .core import (
     INFINITY,
     KroneckerStructure,
+    _label,
     codimension,
     eigenvalues,
     finite,
@@ -61,6 +60,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_PAIRS = 10_000_000
+FORMULA_SEEDS = 5  # random strict equivalences per structure in the ``formulas`` suite
 
 
 @dataclass
@@ -121,7 +121,9 @@ class VerificationReport:
 
 
 class _Tracker:
-    """Collects the first counterexample per check id."""
+    """Collects the first counterexample per check id, in the order the
+    checks are recorded: node order in the ``formulas`` suite, and in the
+    pair suites the group order of :func:`_closure_rows`."""
 
     def __init__(self):
         self.failures = {}
@@ -319,31 +321,31 @@ def _pair_budget(records, max_pairs) -> int:
 
 
 def _closure_rows(nodes, max_pairs, base):
-    """(M, sources, related) for every node M, in node order.
+    """(targets, group, sources, related) for every finite label set, in
+    the order of the set's first node.
 
-    ``sources`` are the label matchings of every node against M's finite
-    eigenvalues, unmatched labels sent to ``base, base + 1, ...``, in node
-    order: each node's carried invariant record with its codes renamed by
-    :func:`_matchings`, never built as a structure; bit k of ``related`` is
-    ``degenerates_to`` of source k and M.  The sources depend only on M's
-    finite labels (infinity always matches itself), so each finite label
-    set is matched once, one :func:`_matchings` call per node, and decided
-    by one :func:`closure_records` batch over all of its nodes.
+    ``targets`` are the set's finite label codes and ``group`` its nodes,
+    in node order.  ``sources`` are the label matchings of every node
+    against ``targets``, unmatched labels sent to ``base, base + 1, ...``,
+    in node order: each node's carried invariant record with its codes
+    renamed by :func:`_matchings`, never built as a structure.  Bit k of
+    ``related[s]`` is ``degenerates_to`` of source k and ``group[s]``.  The
+    sources depend only on the finite labels (infinity always matches
+    itself), so each set is matched once, one :func:`_matchings` call per
+    node, and decided by one :func:`closure_records` batch.  The sets are
+    built lazily, one per step of the generator, and the generator lets
+    go of a set's sources before building the next; a caller that drops
+    its rows before the next step keeps one set alive at a time.
     """
     records = [M._invariants() for M in nodes]
     _pair_budget(records, max_pairs)
-    finite_labels = [tuple([mu for mu, _ in node.weyr if mu != _INF]) for node in records]
     groups = {}
-    for i, targets in enumerate(finite_labels):
-        groups.setdefault(targets, []).append(i)
-    matched, related = {}, {}
-    for i, (M, targets) in enumerate(zip(nodes, finite_labels)):
-        if targets not in matched:
-            matched[targets] = [L for node in records for L in _matchings(node, targets, base)]
-            group = groups[targets]
-            related.update(zip(group, closure_records(matched[targets],
-                                                      [records[j] for j in group])))
-        yield M, matched[targets], related.pop(i)
+    for M, node in zip(nodes, records):
+        groups.setdefault(tuple([mu for mu, _ in node.weyr if mu != _INF]), []).append(M)
+    for targets, group in groups.items():
+        sources = [L for node in records for L in _matchings(node, targets, base)]
+        yield targets, group, sources, closure_records(sources, [M._invariants() for M in group])
+        del sources
 
 
 def verify_codimension_monotonicity(
@@ -358,35 +360,37 @@ def verify_codimension_monotonicity(
     Runs over every ordered same-size pair of enumerated structures in a
     shared label space.  Also checks the converse refinement: equality of
     codimensions within a closure relation forces h = 0 and equality in
-    all three majorizations.
+    all three majorizations.  The pairs are checked one finite label set
+    of M at a time (:func:`_closure_rows`), so a counterexample is the
+    first failing pair in that order, not in node order.
     """
     start = time.monotonic()
     nodes = enumerate_structures(m, n, pool_size, include_infinity)
     base = rules._fresh_reservoir(1, map(eigenvalues, nodes))[0].sort_key()
     tracker = _Tracker()
     pair_count = 0
-    for M, sources, related in _closure_rows(nodes, max_pairs, base):
-        pair_count += len(sources)
-        target = M._invariants()
-        cm = target.codim
-        for k in set_bits(related):
-            L = sources[k]
-            cl = L.codim
+    for _, group, sources, related in _closure_rows(nodes, max_pairs, base):
+        pair_count += len(group) * len(sources)
+        for M, bits in zip(group, related):
+            target = M._invariants()
+            cm = target.codim
+            for k in set_bits(bits):
+                L = sources[k]
+                cl = L.codim
 
-            def info():
-                return {"L": str(structure_from_key(L.key)), "M": str(M), "codim_L": cl,
-                        "codim_M": cm, "h": L.rank - target.rank}
+                def info():
+                    return {"L": str(structure_from_key(L.key)), "M": str(M), "codim_L": cl,
+                            "codim_M": cm, "h": L.rank - target.rank}
 
-            tracker.record("codim_monotone", cl <= cm, info)
-            # same orbit: equal blocks, labels compared as concrete identities
-            tracker.record("codim_equality_iff_same_orbit",
-                           (cl == cm) == (L.key == target.key), info)
-            if cl == cm:
-                ok = L.rank == target.rank and all(
-                    lower == upper
-                    for _, lower, upper in majorization_conditions(structure_from_key(L.key), M)
-                )
-                tracker.record("equality_forces_equal_majorizations", ok, info)
+                tracker.record("codim_monotone", cl <= cm, info)
+                # same orbit: equal blocks, labels compared as concrete identities
+                tracker.record("codim_equality_iff_same_orbit",
+                               (cl == cm) == (L.key == target.key), info)
+                if cl == cm:
+                    h, conditions = _conditions(L, target)
+                    ok = h == 0 and all(lower == upper for _, lower, upper in conditions)
+                    tracker.record("equality_forces_equal_majorizations", ok, info)
+        del sources, related  # one label set alive at a time
     checks = tracker.results([
         "codim_monotone",
         "codim_equality_iff_same_orbit",
@@ -414,71 +418,67 @@ def cross_validate_characterizations(
     A source M searches over its eigenvalues plus a fresh-label reservoir
     of min(m, n) labels above every enumerated label (and the infinity
     label), so the sources sharing M's finite labels share one search
-    universe, at most min(m, n) + 1 of them.  Each universe is one
-    :meth:`rules.RuleGraph.sweep` with all of its sources as roots: nodes
-    pop by decreasing codimension and carry the bitset of the sources that
-    reach them, and the sweep never consults majorizations.  No source
-    uses a reservoir label, so the reservoir labels are interchangeable
-    and the sweep keeps nodes up to their permutations.  The matcher sends
-    unmatched labels onto the reservoir, so every re-embedded target L lies
-    in M's universe; its canonical key, from the graph's
-    :func:`rules._canonical` once per finite eigenvalue set, is looked up
-    among the bitsets the sweep kept, and the bit of M is compared with
-    ``degenerates_to(L, M)``, read from one :func:`closure_records` batch
-    per finite eigenvalue set.  ``max_expansions`` bounds each sweep.
+    universe, at most min(m, n) + 1 of them.  The suite runs one universe
+    at a time, in the order of :func:`_closure_rows`: one
+    :meth:`rules.RuleGraph.sweep` with all of its sources as roots, where
+    nodes pop by decreasing codimension and carry the bitset of the
+    sources that reach them, and the sweep never consults majorizations.
+    No source uses a reservoir label, so the reservoir labels are
+    interchangeable and the sweep keeps nodes up to their permutations.
+    The matcher sends unmatched labels onto the reservoir, so every
+    re-embedded target L lies in M's universe; its canonical key, from the
+    graph's :func:`rules._canonical`, is looked up among the bitsets the
+    sweep kept, and the bit of M is compared with ``degenerates_to(L, M)``,
+    read from the universe's :func:`closure_records` batch.  The graph,
+    its bitsets and the rows are dropped before the next universe's rows
+    are built.  ``max_expansions`` bounds each sweep.
 
-    A counterexample's ``search`` gives ``visited``, the number of target
-    classes (targets up to reservoir relabelling) that M reaches, and
-    ``expansions``, the classes its universe's sweep expanded.  ``stats``
-    holds, per universe: the finite label count, the sources, and the
-    sweep's expansions and moves.
+    A counterexample is the first disagreeing pair in universe order.  Its
+    ``search`` gives ``visited``, the number of target classes (targets up
+    to reservoir relabelling) that M reaches, and ``expansions``, the
+    classes its universe's sweep expanded.  ``stats`` holds, per universe:
+    the finite label count, the sources, and the sweep's expansions and
+    moves.
     """
     start = time.monotonic()
     nodes = enumerate_structures(m, n, pool_size, include_infinity)
     reservoir = rules._fresh_reservoir(min(m, n), map(eigenvalues, nodes))
     search_labels = tuple(reservoir) + ((INFINITY,) if include_infinity else ())
-    roots, slot = {}, {}  # source keys per finite label set; each source's bit
-    for M in nodes:
-        group = roots.setdefault(_finite_labels(M), [])
-        slot[M] = len(group)
-        group.append(structure_sort_key(M))
-    sweeps, universes = {}, []
+    universes = []
     tracker = _Tracker()
     pair_count = 0
-    for M, sources, related in _closure_rows(nodes, max_pairs, reservoir[0].sort_key()):
-        labels = _finite_labels(M)
-        if labels not in sweeps:
-            graph = rules.RuleGraph(labels + search_labels, max_expansions, reservoir,
-                                    canonical=True)
-            canon = [rules._canonical(L.key, graph._reservoir) for L in sources]
-            reached = graph.sweep(roots[labels], set(canon))
-            # bit k of entry s: does source s reach target k
-            reach = _transpose([reached.get(key, 0) for key in canon], len(roots[labels]))
-            sweeps[labels] = graph, reached, reach
-            universes.append({"finite_labels": len(labels), "sources": len(roots[labels]),
-                              "expansions": graph.expansions, "moves": graph.moves})
-        graph, reached, reach = sweeps[labels]
-        bit = slot[M]
-        pair_count += len(sources)
-        for k in set_bits(reach[bit] ^ related):  # only the pairs where the routes disagree
-            L = sources[k]
-            via_rules = bool(reach[bit] >> k & 1)
-            via_majorization = not via_rules
+    for targets, group, sources, related in _closure_rows(nodes, max_pairs,
+                                                          reservoir[0].sort_key()):
+        graph = rules.RuleGraph(tuple(map(_label, targets)) + search_labels, max_expansions,
+                                reservoir, canonical=True)
+        canon = [rules._canonical(L.key, graph._reservoir) for L in sources]
+        reached = graph.sweep([M._invariants().key for M in group], set(canon))
+        # bit k of entry s: does source s reach target k
+        reach = _transpose([reached.get(key, 0) for key in canon], len(group))
+        universes.append({"finite_labels": len(targets), "sources": len(group),
+                          "expansions": graph.expansions, "moves": graph.moves})
+        pair_count += len(group) * len(sources)
+        for s, (M, bits) in enumerate(zip(group, related)):
+            for k in set_bits(reach[s] ^ bits):  # only the pairs where the routes disagree
+                L = sources[k]
+                via_rules = bool(reach[s] >> k & 1)
+                via_majorization = not via_rules
 
-            def info():
-                structure = structure_from_key(L.key)
-                report = majorization_report(structure, M)
-                return {
-                    "L": str(structure),
-                    "M": str(M),
-                    "majorization": via_majorization,
-                    "rule_reachable": via_rules,
-                    "partial_sums": report["conditions"],
-                    "search": {"visited": sum(bits >> bit & 1 for bits in reached.values()),
-                               "expansions": graph.expansions},
-                }
+                def info():
+                    structure = structure_from_key(L.key)
+                    report = majorization_report(structure, M)
+                    return {
+                        "L": str(structure),
+                        "M": str(M),
+                        "majorization": via_majorization,
+                        "rule_reachable": via_rules,
+                        "partial_sums": report["conditions"],
+                        "search": {"visited": sum(row >> s & 1 for row in reached.values()),
+                                   "expansions": graph.expansions},
+                    }
 
-            tracker.record("majorization_matches_reachability", False, info)
+                tracker.record("majorization_matches_reachability", False, info)
+        del graph, canon, reached, reach, sources, related  # one universe alive at a time
     checks = tracker.results(["majorization_matches_reachability"])
     return VerificationReport(
         size=(m, n),
@@ -488,10 +488,6 @@ def cross_validate_characterizations(
         elapsed_seconds=time.monotonic() - start,
         stats={"universes": universes},
     )
-
-
-def _finite_labels(K: KroneckerStructure) -> tuple:
-    return tuple([lbl for lbl in eigenvalues(K) if not lbl.is_infinite])
 
 
 def _transpose(rows: list, width: int) -> list:
@@ -508,7 +504,6 @@ def verify_formula_identities(
     n: int,
     pool_size: int | None = None,
     include_infinity: bool = True,
-    seeds: int = 5,
     seed_base: int = 0,
     max_pairs: int = DEFAULT_MAX_PAIRS,
 ) -> VerificationReport:
@@ -518,7 +513,8 @@ def verify_formula_identities(
     m - l_0 = n - r_0 = rank; the two size identities of the Weyr data;
     agreement of the codimension formula with the tangent corank of a
     realized pencil; and invariance of that corank and the normal rank
-    under random strict equivalences.
+    under ``FORMULA_SEEDS`` random strict equivalences, seeded
+    ``seed_base, seed_base + 1, ...``.
 
     ``stats`` holds the tangent rank calls, and per pair of shapes how
     many took the rank of a remainder of the second shape in place of a
@@ -528,7 +524,7 @@ def verify_formula_identities(
     """
     start = time.monotonic()
     nodes = enumerate_structures(m, n, pool_size, include_infinity)
-    if len(nodes) * (seeds + 1) > max_pairs:
+    if len(nodes) * (FORMULA_SEEDS + 1) > max_pairs:
         raise EnumerationLimitExceededError(
             f"formula-identity budget {max_pairs} exceeded ({len(nodes)} nodes)"
         )
@@ -572,7 +568,7 @@ def verify_formula_identities(
             codimension(K) == oracle,
             {**info, "tangent_codim": oracle},
         )
-        for seed in range(seed_base, seed_base + seeds):
+        for seed in range(seed_base, seed_base + FORMULA_SEEDS):
             moved = timed("equivalence", random_equivalence, pencil, seed)
             tracker.record(
                 "codim_invariant_under_equivalence",
@@ -588,7 +584,7 @@ def verify_formula_identities(
     return VerificationReport(
         size=(m, n),
         node_count=len(nodes),
-        pair_count=len(nodes) * (seeds + 1),
+        pair_count=len(nodes) * (FORMULA_SEEDS + 1),
         checks=checks,
         elapsed_seconds=time.monotonic() - start,
         stats={

@@ -165,6 +165,13 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "1", "1", "--checks", "nope")
         assert code == 64
 
+    @pytest.mark.parametrize("checks", ["", ","])
+    def test_no_suite_is_usage_error(self, capsys, checks):
+        code, out, err = run(capsys, "verify", "3", "3", "--checks", checks, "--json")
+        assert code == 64
+        assert out == ""
+        assert err == "error: no checks selected (choose from dim, rules, formulas)\n"
+
     def test_injected_fault_exits_2(self, capsys, monkeypatch):
         # negated codimensions fail exactly codim_monotone at 1x1
         real = core.block_invariants

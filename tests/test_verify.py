@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 
 import pytest
 
@@ -194,8 +196,8 @@ class TestSuites:
 
     def test_counterexample_payload(self, monkeypatch):
         # force a fake mismatch recording to confirm the diagnostic shape
-        monkeypatch.setattr(verify_mod, "majorization_conditions",
-                            lambda L, M: iter([("right", (1,), (0,))]))
+        monkeypatch.setattr(verify_mod, "_conditions",
+                            lambda L, M: (0, [("right", (1,), (0,))]))
         report = verify_codimension_monotonicity(1, 1)
         failing = [c for c in report.checks if c.check_id == "equality_forces_equal_majorizations"]
         assert failing and not failing[0].passed
@@ -273,9 +275,15 @@ class TestMatchingsMemo:
         base = rules._fresh_reservoir(3, map(eigenvalues, nodes))[0].id
         naive = [(L, M) for M in nodes for L0 in nodes
                  for L in relabel_matchings(L0, eigenvalues(M), base)]
-        rows = verify_mod._closure_rows(nodes, 10**7, base)
-        assert [(structure_from_key(L.key), M)
-                for M, sources, _ in rows for L in sources] == naive
+        pairs, groups = {}, []  # the rows come one finite label set at a time
+        for _, group, sources, _ in verify_mod._closure_rows(nodes, 10**7, base):
+            groups.append([nodes.index(M) for M in group])
+            for M in group:
+                pairs[M] = [(structure_from_key(L.key), M) for L in sources]
+        assert [pair for M in nodes for pair in pairs[M]] == naive
+        # each set in node order, the sets in the order of their first node
+        assert all(group == sorted(group) for group in groups)
+        assert [group[0] for group in groups] == sorted(group[0] for group in groups)
 
     @pytest.mark.parametrize("suite", [verify_codimension_monotonicity,
                                        cross_validate_characterizations])
@@ -294,3 +302,58 @@ class TestMatchingsMemo:
         finite_sets = {tuple(lbl for lbl in eigenvalues(M) if not lbl.is_infinite)
                        for M in nodes}
         assert len(calls) == len(set(calls)) == len(finite_sets) * len(nodes)
+
+    def test_rules_suite_holds_one_graph_at_a_time(self, monkeypatch):
+        alive, counts = weakref.WeakSet(), []
+        init, sweep = rules.RuleGraph.__init__, rules.RuleGraph.sweep
+
+        def registering(graph, *args, **kwargs):
+            init(graph, *args, **kwargs)
+            alive.add(graph)
+
+        def counting(graph, *args, **kwargs):
+            gc.collect()
+            counts.append(len(alive))
+            return sweep(graph, *args, **kwargs)
+
+        monkeypatch.setattr(rules.RuleGraph, "__init__", registering)
+        monkeypatch.setattr(rules.RuleGraph, "sweep", counting)
+        report = cross_validate_characterizations(4, 4)
+        assert report.passed
+        assert len(counts) == len(report.stats["universes"]) > 1
+        assert counts == [1] * len(counts)
+
+    @pytest.mark.parametrize("suite", [verify_codimension_monotonicity,
+                                       cross_validate_characterizations])
+    def test_suites_drop_each_closure_batch(self, monkeypatch, suite):
+        class Rows(list):  # a list that takes weak references
+            pass
+
+        refs, counts = [], []
+        batch = verify_mod.closure_records
+
+        def registering(sources, targets):
+            gc.collect()
+            counts.append(sum(ref() is not None for ref in refs))
+            rows = Rows(batch(sources, targets))
+            refs.append(weakref.ref(rows))
+            return rows
+
+        monkeypatch.setattr(verify_mod, "closure_records", registering)
+        assert suite(4, 4).passed
+        assert len(counts) > 1 and counts == [0] * len(counts)
+
+    def test_rows_let_go_of_each_set_before_matching_the_next(self, monkeypatch):
+        nodes = enumerate_structures(4, 4)
+        base = rules._fresh_reservoir(4, map(eigenvalues, nodes))[0].id
+        rows = verify_mod._closure_rows(nodes, 10**7, base)
+        held = []  # per matcher call: does the generator still hold a set's sources
+        matchings = verify_mod._matchings
+
+        def watching(node, targets, base):
+            held.append("sources" in rows.gi_frame.f_locals)
+            return matchings(node, targets, base)
+
+        monkeypatch.setattr(verify_mod, "_matchings", watching)
+        assert sum(1 for _ in rows) > 1
+        assert held and not any(held)
