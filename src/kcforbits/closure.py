@@ -19,7 +19,6 @@ from .errors import DuplicateNodeError, InvariantViolationError, SizeMismatchErr
 
 __all__ = [
     "weakly_majorizes",
-    "majorization_conditions",
     "degenerates_to",
     "same_orbit",
     "majorization_report",
@@ -51,28 +50,18 @@ def weakly_majorizes(upper, lower) -> bool:
     return all(lhs <= rhs for _, lhs, rhs in _partial_sums(tuple(lower), tuple(upper), 0))
 
 
-def majorization_conditions(L: KroneckerStructure, M: KroneckerStructure):
-    """The majorizations behind ``degenerates_to(L, M)``, as (name, lower, upper).
-
-    In this order: r(M) against r(L), l(M) against l(L), then W(mu, L)
-    against W(mu, M) for each eigenvalue mu of either structure, in label
-    order.  Each holds when ``lower`` is weakly majorized by ``upper``
-    shifted by the rank drop h.  Structures of different sizes raise
-    :class:`SizeMismatchError`.
-    """
-    for side, lower, upper in _conditions(L._invariants(), M._invariants())[1]:
-        yield _condition_name(side), lower, upper
-
-
 def _conditions(L, M):
     """h = rank L - rank M and the majorizations behind ``degenerates_to``,
     on the invariant records of L and M.
 
     A record is a :class:`core._Invariants` on label codes, as in
     :func:`closure_records`.  The conditions are (side or label code,
-    lower, upper) in the order of :func:`majorization_conditions`, labels
-    by code.  A label of M alone has an empty ``lower``, whose condition
-    always holds.
+    lower, upper), in this order: r(M) against r(L), l(M) against l(L),
+    then W(mu, L) against W(mu, M) for each label code mu of either, in
+    code order.  Each holds when ``lower`` is weakly majorized by
+    ``upper`` shifted by h.  A label of M alone has an empty ``lower``,
+    whose condition always holds.  Records of different sizes raise
+    :class:`SizeMismatchError`.
     """
     if L.size != M.size:
         raise SizeMismatchError(f"cannot compare {L.size} with {M.size}")
@@ -83,15 +72,12 @@ def _conditions(L, M):
     return L.rank - M.rank, conditions
 
 
-def _condition_name(side) -> str:
-    return side if isinstance(side, str) else f"eigenvalue {_label(side)}"
-
-
 def degenerates_to(L: KroneckerStructure, M: KroneckerStructure) -> bool:
     """True iff M lies in the closure of the orbit of L.
 
     Requires the same pencil size, and decides via h = rank L - rank M
-    plus the shifted majorizations of :func:`majorization_conditions`.
+    plus three weak majorizations shifted by h: r(M) under r(L), l(M)
+    under l(L), and W(mu, L) under W(mu, M) for every eigenvalue mu.
     Eigenvalue labels are compared as concrete identities, so structures
     with disjoint eigenvalues are unrelated unless the Jordan parts can
     vanish into the shifts.
@@ -127,7 +113,7 @@ def majorization_report(L: KroneckerStructure, M: KroneckerStructure) -> dict:
             for j, lhs, rhs in _partial_sums(lower, upper, h)
         ]
         conditions.append({
-            "condition": _condition_name(side),
+            "condition": side if isinstance(side, str) else f"eigenvalue {_label(side)}",
             "lower": list(lower),
             "upper": list(upper),
             "shift": h,
@@ -154,12 +140,21 @@ def set_bits(bits: int):
         bits ^= low
 
 
+def _transpose(rows: list, width: int) -> list:
+    """Bit k of entry s is bit s of ``rows[k]``, for every s < ``width``."""
+    digits = [bytearray(b"0" * len(rows)) for _ in range(width)]
+    for k, bits in enumerate(reversed(rows)):  # the last row is the leading digit
+        for s in set_bits(bits):
+            digits[s][k] = 49  # ord("1")
+    return [int(d or b"0", 2) for d in digits]
+
+
 def _profile_columns(records: list, lengths: tuple):
     """The integer profiles of invariant ``records``, one coordinate at a time.
 
     The closure order is the componentwise order of these profiles.  With
     h = rank L - rank M, each condition P_j(lower) <= P_j(upper) + j*h of
-    :func:`majorization_conditions` splits into one value per structure:
+    :func:`_conditions` splits into one value per structure:
     P_j(r(M)) + j*rank M <= P_j(r(L)) + j*rank L, the same for l, and
     P_j(W(mu, L)) - j*rank L <= P_j(W(mu, M)) - j*rank M.  Negating the
     singular terms and the rank (for h >= 0) turns all of them into
@@ -313,10 +308,7 @@ def build_closure_graph(nodes) -> ClosureGraph:
     # up[j]: nodes whose closure holds node j; down[i]: nodes in the
     # closure of node i's orbit.  (i, j) is a cover iff no k is in both.
     up = [bits & ~(1 << j) for j, bits in enumerate(closure_bitsets(nodes, nodes))]
-    down = [0] * len(nodes)
-    for j, bits in enumerate(up):
-        for i in set_bits(bits):
-            down[i] |= 1 << j
+    down = _transpose(up, len(nodes))
     codims = tuple(codimension(node) for node in nodes)
     edges = []
     for i, below in enumerate(down):

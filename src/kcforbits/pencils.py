@@ -42,6 +42,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 
 from .core import KroneckerStructure, eigenvalues, size_of
 from .errors import InvariantViolationError, MissingLabelError, NonInjectiveAssignmentError
@@ -160,34 +161,22 @@ def realize(K: KroneckerStructure, assignment: dict | None = None) -> RationalPe
     one = Fraction(1)
     a = [[zero] * n for _ in range(m)]
     b = [[zero] * n for _ in range(m)]
-    row = col = 0
-
-    def place(block_a, block_b, rows, cols):
-        nonlocal row, col
-        for i in range(rows):
-            for j in range(cols):
-                a[row + i][col + j] = block_a[i][j]
-                b[row + i][col + j] = block_b[i][j]
-        row += rows
-        col += cols
-
-    for lbl, k in K.jordan:
-        ident = [[one if i == j else zero for j in range(k)] for i in range(k)]
-        nilp = [[one if j == i + 1 else zero for j in range(k)] for i in range(k)]
-        if lbl.is_infinite:
-            place(ident, nilp, k, k)
-        else:
-            mu = assignment[lbl]
-            shifted = [[nilp[i][j] - (mu if i == j else zero) for j in range(k)] for i in range(k)]
-            place(shifted, ident, k, k)
+    row = col = 0  # the next block's top left corner
+    for lbl, k in K.jordan:  # square blocks first, so row == col
+        diagonal, upper = ((one, zero), b) if lbl.is_infinite else ((-assignment[lbl], one), a)
+        for i in range(row, row + k):
+            a[i][i], b[i][i] = diagonal
+        for i in range(row, row + k - 1):
+            upper[i][i + 1] = one
+        row = col = row + k
     for k in K.right:
-        block_a = [[one if j == i + 1 else zero for j in range(k + 1)] for i in range(k)]
-        block_b = [[one if j == i else zero for j in range(k + 1)] for i in range(k)]
-        place(block_a, block_b, k, k + 1)
+        for i in range(k):
+            a[row + i][col + i + 1] = b[row + i][col + i] = one
+        row, col = row + k, col + k + 1
     for k in K.left:
-        block_a = [[one if i == j + 1 else zero for j in range(k)] for i in range(k + 1)]
-        block_b = [[one if i == j else zero for j in range(k)] for i in range(k + 1)]
-        place(block_a, block_b, k + 1, k)
+        for i in range(k):
+            a[row + i + 1][col + i] = b[row + i][col + i] = one
+        row, col = row + k + 1, col + k
     if (row, col) != (m, n):
         raise InvariantViolationError(f"blocks of {K} fill {row}x{col}, not {m}x{n}")
     return RationalPencil(m=m, n=n, a=a, b=b)
@@ -312,6 +301,40 @@ def tangent_codimension(P: RationalPencil) -> int:
     return 2 * P.m * P.n - _tangent_rank(P)[0]
 
 
+class _Row(list):
+    """A row of ints that scales and adds entrywise."""
+
+    def __rmul__(self, c):
+        return _Row(map(c.__mul__, self))
+
+    def __add__(self, other):
+        return _Row(map(add, self, other))
+
+
+# Each operation acts on items i and j of every line in ``lines``: rows i
+# and j of A and B (as _Rows), or entries i and j of every row.
+def _scale(lines, i, j, c):  # i == j
+    for line in lines:
+        line[i] = c * line[i]
+
+
+def _swap(lines, i, j, c):
+    for line in lines:
+        line[i], line[j] = line[j], line[i]
+
+
+def _axpy(lines, i, j, c):  # item j += c * item i
+    for line in lines:
+        line[j] = line[j] + c * line[i]
+
+
+_OPERATIONS = (  # (the rows or columns it needs, the factors it draws, the operation)
+    (1, (-3, -2, -1, 2, 3), _scale),
+    (2, (), _swap),
+    (2, (-3, -2, -1, 1, 2, 3), _axpy),
+)
+
+
 def random_equivalence(P: RationalPencil, seed: int, num_ops: int | None = None) -> RationalPencil:
     """A pencil strictly equivalent to ``P``, derived deterministically.
 
@@ -328,66 +351,18 @@ def random_equivalence(P: RationalPencil, seed: int, num_ops: int | None = None)
     if num_ops is None:
         num_ops = 2 * (m + n)
     a, b, d = P._integers
-    a, b = [list(row) for row in a], [list(row) for row in b]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        b[i], b[j] = b[j], b[i]
-
-    def row_axpy(c, i, j):  # row_j += c * row_i
-        for mat in (a, b):
-            mat[j] = [mat[j][t] + c * mat[i][t] for t in range(n)]
-
-    def row_scale(c, i):
-        for mat in (a, b):
-            mat[i] = [c * x for x in mat[i]]
-
-    def col_swap(i, j):
-        for mat in (a, b):
-            for row in mat:
-                row[i], row[j] = row[j], row[i]
-
-    def col_axpy(c, i, j):  # col_j += c * col_i
-        for mat in (a, b):
-            for row in mat:
-                row[j] += c * row[i]
-
-    def col_scale(c, i):
-        for mat in (a, b):
-            for row in mat:
-                row[i] *= c
-
-    nonzero = (-3, -2, -1, 2, 3)
-    small = (-3, -2, -1, 1, 2, 3)
-    for _ in range(num_ops):
-        choices = []
-        if m >= 1:
-            choices.append("row_scale")
-        if m >= 2:
-            choices += ["row_swap", "row_axpy"]
-        if n >= 1:
-            choices.append("col_scale")
-        if n >= 2:
-            choices += ["col_swap", "col_axpy"]
-        if not choices:
-            break
-        op = rng.choice(choices)
-        if op == "row_scale":
-            row_scale(rng.choice(nonzero), rng.randrange(m))
-        elif op == "row_swap":
-            i, j = rng.sample(range(m), 2)
-            row_swap(i, j)
-        elif op == "row_axpy":
-            i, j = rng.sample(range(m), 2)
-            row_axpy(rng.choice(small), i, j)
-        elif op == "col_scale":
-            col_scale(rng.choice(nonzero), rng.randrange(n))
-        elif op == "col_swap":
-            i, j = rng.sample(range(n), 2)
-            col_swap(i, j)
+    a, b = list(map(_Row, a)), list(map(_Row, b))
+    ops = [(on_rows, count, factors, apply) for on_rows, count in ((True, m), (False, n))
+           for least, factors, apply in _OPERATIONS if count >= least]
+    for _ in range(num_ops) if ops else ():
+        on_rows, count, factors, apply = rng.choice(ops)
+        if apply is _scale:
+            c = rng.choice(factors)
+            i = j = rng.randrange(count)
         else:
-            i, j = rng.sample(range(n), 2)
-            col_axpy(rng.choice(small), i, j)
+            i, j = rng.sample(range(count), 2)
+            c = rng.choice(factors) if factors else None
+        apply((a, b) if on_rows else a + b, i, j, c)
     return _from_integers(m, n, a, b, d)
 
 

@@ -40,9 +40,9 @@ over :meth:`RuleGraph.successors` that draws its fresh labels as a
 reservoir but keeps its nodes concrete, so every step names real labels.
 Pruned, the path query cuts every child at or below the target's
 codimension other than the target, then tests the closure condition on
-the invariants of the children left, read from their keys by
-:func:`block_invariants`; it decodes only the path it returns.  The
-prune-free query still never consults majorizations.
+the invariant records the graph stored for the children left; it
+decodes only the path it returns.  The prune-free query still never
+consults majorizations.
 """
 
 from collections import deque
@@ -317,8 +317,8 @@ class RuleGraph:
     A node is the :func:`structure_sort_key` of its structure and a move
     the :meth:`RuleInstance.sort_key` of its instance, so the graph works
     on label codes and tuple order is the order of structures and moves.
-    ``nodes``, ``codims`` and ``sizes`` hold each node's key, codimension
-    and (m, n), computed once; :meth:`structure` decodes a node and
+    ``records[i]`` is node i's :func:`block_invariants` record, computed
+    once, and ``records[i].key`` the node; :meth:`structure` decodes it and
     :func:`_instance` a move.  Every universe label is a rule-6 candidate,
     so the moves out of a node depend on it and the universe alone; every
     move must keep the size and lower the codimension, checked on every
@@ -346,13 +346,13 @@ class RuleGraph:
         self._reservoir = frozenset(lbl.sort_key() for lbl in reservoir)
         self._fixed = sorted({lbl.sort_key() for lbl in self.universe} - self._reservoir)
         self._parts = {}  # rule-6 part tuples by (total, reservoir codes used)
-        # canonical key by child key, when renaming: children repeat across nodes
+        # node index by child key, when renaming: children repeat across nodes
         self._canon = {} if canonical else None
         self._index = {}
-        self.nodes, self.codims, self.sizes = [], [], []
+        self.records = []
 
     def structure(self, i: int) -> KroneckerStructure:
-        return structure_from_key(self.nodes[i])
+        return structure_from_key(self.records[i].key)
 
     def node(self, K: KroneckerStructure) -> int:
         """Index of ``K``; a new node is added unexpanded."""
@@ -361,11 +361,9 @@ class RuleGraph:
     def _node(self, key) -> int:
         idx = self._index.get(key)
         if idx is None:
-            idx = self._index[key] = len(self.nodes)
-            inv = block_invariants(*key)
-            self.nodes.append(key)
-            self.codims.append(inv.codim)
-            self.sizes.append(inv.size)
+            record = block_invariants(*key)
+            idx = self._index[record.key] = len(self.records)
+            self.records.append(record)
         return idx
 
     def _rule6_parts(self, total: int, used: tuple) -> list:
@@ -386,24 +384,25 @@ class RuleGraph:
                 f"reachability from {source} exceeded {self.max_expansions} expansions"
             )
         self.expansions += 1
-        key, codim, size = self.nodes[i], self.codims[i], self.sizes[i]
-        codims, sizes, reservoir, canon = self.codims, self.sizes, self._reservoir, self._canon
+        records, node = self.records, self.records[i]
+        key, reservoir, canon = node.key, self._reservoir, self._canon
         used = tuple(sorted({c for c, _ in key[0] if c in reservoir})) if reservoir else ()
         moves = _moves(key, lambda total: self._rule6_parts(total, used))
         self.moves += len(moves)
         kids = {}
         for move in moves:
             child = _apply(key, move)
-            if canon is not None:
-                known = canon.get(child)
-                if known is None:
-                    known = canon[child] = _canonical(child, reservoir)
-                child = known
-            k = self._node(child)
-            if codims[k] >= codim or sizes[k] != size:
+            if canon is None:
+                k = self._node(child)
+            else:
+                k = canon.get(child)
+                if k is None:
+                    k = canon[child] = self._node(_canonical(child, reservoir))
+            kid = records[k]
+            if kid.codim >= node.codim or kid.size != node.size:
                 raise InvariantViolationError(
-                    f"rule {move[0]} took {self.structure(i)} (codimension {codim}, size {size}) "
-                    f"to {self.structure(k)} (codimension {codims[k]}, size {sizes[k]})")
+                    f"rule {move[0]} took {self.structure(i)} (codim {node.codim}, size "
+                    f"{node.size}) to {self.structure(k)} (codim {kid.codim}, size {kid.size})")
             kids.setdefault(k, move)
         return kids
 
@@ -424,7 +423,7 @@ class RuleGraph:
             i = self._node(key)
             if i not in bits:
                 bits[i] = 0
-                heap.append((-self.codims[i], key, i))
+                heap.append((-self.records[i].codim, key, i))
             bits[i] |= 1 << s
         heapify(heap)
         out = {}
@@ -438,7 +437,7 @@ class RuleGraph:
                     bits[k] |= reach
                 else:
                     bits[k] = reach
-                    heappush(heap, (-self.codims[k], self.nodes[k], k))
+                    heappush(heap, (-self.records[k].codim, self.records[k].key, k))
         return out
 
 
@@ -459,11 +458,11 @@ def reachable(M: KroneckerStructure, L: KroneckerStructure, prune: bool = True,
     With ``prune`` the search rejects, once per structure, the children
     that cannot lie on a path to ``L``: first, with no further test, every
     child other than ``L`` at or below ``L``'s codimension, which is never
-    queued anyway; then every child whose invariants, read from its key by
-    :func:`block_invariants`, fail the closure test against ``L``'s, which
-    are computed once.  No child is decoded into a structure.  Without
-    ``prune`` the search never consults majorizations and serves as the
-    independent oracle for the closure test.
+    queued anyway; then every child whose record, stored by the graph when
+    the child was first listed, fails the closure test against ``L``'s.
+    No child is decoded into a structure.  Without ``prune`` the search
+    never consults majorizations and serves as the independent oracle for
+    the closure test.
     """
     if size_of(M) != size_of(L):
         raise SizeMismatchError(f"cannot search between sizes {size_of(M)} and {size_of(L)}")
@@ -473,11 +472,9 @@ def reachable(M: KroneckerStructure, L: KroneckerStructure, prune: bool = True,
     fresh = _fresh_reservoir(min(size_of(M)), [evs])
     graph = RuleGraph(evs + fresh, max_expansions, fresh)
     root, goal = graph.node(M), graph.node(L)
-    target_codim = graph.codims[goal]
-    if graph.codims[root] <= target_codim:
+    records, target = graph.records, graph.records[goal]
+    if records[root].codim <= target.codim:
         return None
-    target = block_invariants(*graph.nodes[goal])
-    nodes, codims = graph.nodes, graph.codims
     parents = {root: None}
     rejected = set()
     queue = deque([root])
@@ -486,8 +483,8 @@ def reachable(M: KroneckerStructure, L: KroneckerStructure, prune: bool = True,
         for k, move in graph.successors(i, M).items():
             if k in parents or k in rejected:
                 continue
-            if prune and k != goal and (codims[k] <= target_codim or not _in_closure(
-                    target, block_invariants(*nodes[k]))):
+            if prune and k != goal and (records[k].codim <= target.codim
+                                        or not _in_closure(target, records[k])):
                 rejected.add(k)
                 continue
             parents[k] = (i, move)
@@ -497,7 +494,7 @@ def reachable(M: KroneckerStructure, L: KroneckerStructure, prune: bool = True,
                     k, move = parents[k]
                     path.append(_instance(move))
                 return path[::-1]
-            if codims[k] > target_codim:
+            if records[k].codim > target.codim:
                 queue.append(k)
     return None
 

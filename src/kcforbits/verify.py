@@ -28,7 +28,7 @@ from math import factorial, perm
 from operator import itemgetter
 
 from . import pencils, rules
-from .closure import _conditions, closure_records, majorization_report, set_bits
+from .closure import _conditions, _transpose, closure_records, majorization_report, set_bits
 from .core import (
     INFINITY,
     KroneckerStructure,
@@ -264,17 +264,17 @@ def label_matchings(K: KroneckerStructure, target_labels) -> list:
 
     Each finite label of ``K`` is either matched injectively to one of
     the target labels or kept disjoint from all of them; unmatched labels
-    are renamed to a fixed fresh sequence starting one above the targets
-    and the labels of ``K``, one representative per pattern.  The infinity
-    label always matches itself.  Deduplicated, in
+    are renamed to the fresh sequence of :func:`rules._fresh_reservoir`
+    above the targets and the labels of ``K``, one representative per
+    pattern.  The infinity label always matches itself.  Deduplicated, in
     :func:`structure_sort_key` order.  The verifier runs the same matcher
     on label codes, with the fresh sequence on the rule search's reservoir,
     and never builds these structures; here they are decoded.
     """
-    node = K._invariants()
+    target_labels = list(target_labels)
     targets = tuple(sorted({lbl.sort_key() for lbl in target_labels if not lbl.is_infinite}))
-    base = 1 + max([mu for mu, _ in node.weyr if mu != _INF] + list(targets), default=0)
-    return [structure_from_key(L.key) for L in _matchings(node, targets, base)]
+    base = rules._fresh_reservoir(1, [eigenvalues(K), target_labels])[0].sort_key()
+    return [structure_from_key(L.key) for L in _matchings(K._invariants(), targets, base)]
 
 
 def _matching_count(runs: tuple, targets: int) -> int:
@@ -488,15 +488,6 @@ def cross_validate_characterizations(
         elapsed_seconds=time.monotonic() - start,
         stats={"universes": universes},
     )
-
-
-def _transpose(rows: list, width: int) -> list:
-    """Bit k of entry s is bit s of ``rows[k]``, for every s < ``width``."""
-    digits = [bytearray(b"0" * len(rows)) for _ in range(width)]
-    for k, bits in enumerate(reversed(rows)):  # the last row is the leading digit
-        for s in set_bits(bits):
-            digits[s][k] = 49  # ord("1")
-    return [int(d or b"0", 2) for d in digits]
 
 
 def verify_formula_identities(

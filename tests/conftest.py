@@ -432,7 +432,8 @@ def shared_graph_reached(m, n, pool_size=None, include_infinity=True):
                 bits |= desc[k]
             desc[i] = bits
             stack.pop()
-        reached[structure_sort_key(M)] = frozenset(graph.nodes[i] for i in set_bits(desc[root]))
+        reached[structure_sort_key(M)] = frozenset(graph.records[i].key
+                                                   for i in set_bits(desc[root]))
     return reached, sum(graph.expansions for graph, _, _ in graphs.values())
 
 

@@ -68,6 +68,10 @@ GOLDEN = [
      "a586d8e2080c22bdd2a200bdac62c077923e5c275df9767a404a87b61c478625"),
     (("verify", "4", "5", "--checks", "dim,rules", "--pool", "1", "--json"), 0,
      "e654711dfab3cc0631f17370cad936c9f759603ada8822af6f08a186237b191d"),
+    # an exact pencil with every kind of block, at rational eigenvalues
+    (("realize", "J(2;e1) + J(1;e1) + J(3;e2) + J(2;inf) + L(1) + L(0) + LT(2) + LT(0)",
+      "--assign", "e1=7/2,e2=-2/3", "--json"), 0,
+     "a506c339e9afe9a919074fd64c89008ce7fa5d87760e4954b5531e71ed0cc556"),
     # the e1 condition fails, the e2 condition holds
     (("closure", "J(1;e1) + L(1)", "J(1;e2) + L(1)"), 3,
      "8790150620560fe7fe332ea39866a40c89bb76fb9fe77238498fd7bc436c2072"),

@@ -296,6 +296,22 @@ class TestRandomEquivalence:
                 for seed in range(10):
                     assert random_equivalence(P, seed) == fraction_random_equivalence(P, seed)
 
+    @pytest.mark.parametrize("K", [
+        S(right=[0, 0]),  # 0x2: column operations only
+        S(left=[0, 0, 0]),  # 3x0: row operations on empty rows
+        S(right=[0]),  # 0x1: column scales of no entries
+        S(),  # 0x0: no operation applies
+        S(left=[0]),  # 1x0: row scales only
+        S(jordan=[(e1, 1)], right=[0, 0], left=[0]),  # 2x3 with a zero row and zero columns
+    ], ids=str)
+    def test_matches_fraction_oracle_without_rows_or_columns(self, K):
+        # enumerate_structures needs m, n >= 1, so these shapes are listed here
+        P = realize(K)
+        for seed in range(10):
+            moved = random_equivalence(P, seed)
+            assert (moved.m, moved.n) == (P.m, P.n)
+            assert moved == fraction_random_equivalence(P, seed)
+
     def test_hands_over_its_integer_form(self):
         P = realize(S(jordan=[(e1, 2), (e2, 1)], right=[1]), {e1: Fraction(1, 2), e2: Fraction(-2, 3)})
         moved = random_equivalence(P, 4)

@@ -463,7 +463,7 @@ def test_encoded_successors_match_object_expansion(m, n):
     for universe, keys in roots.items():
         graph = RuleGraph(universe)
         graph.sweep(keys)
-        for i in range(len(graph.nodes)):
+        for i in range(len(graph.records)):
             K = graph.structure(i)
             encoded = [(graph.structure(k), rules._instance(move))
                        for k, move in graph.successors(i, K).items()]
@@ -481,7 +481,7 @@ def test_quotient_successors_match_object_expansion(m, n):
     for universe, keys in roots.items():
         graph = RuleGraph(universe, reservoir=reservoir, canonical=True)
         graph.sweep(keys)
-        for i in range(len(graph.nodes)):
+        for i in range(len(graph.records)):
             K = graph.structure(i)
             assert reservoir_canonical(K, reservoir) == K
             children = {graph.structure(k) for k in graph.successors(i, K)}
@@ -500,7 +500,7 @@ def test_reservoir_successors_are_concrete_orbit_representatives(m, n):
         fresh = rules._fresh_reservoir(min(m, n), [evs])
         graph = RuleGraph(evs + fresh, reservoir=fresh)
         graph.sweep([structure_sort_key(M)])
-        for i in range(len(graph.nodes)):
+        for i in range(len(graph.records)):
             K = graph.structure(i)
             drawn = [(graph.structure(k), rules._instance(move))
                      for k, move in graph.successors(i, K).items()]
