@@ -27,6 +27,11 @@ the rows [E | I], and the leftover identity parts are N.  A pencil with
 m > n is transposed first: that keeps the rank of T and makes Z the
 smaller side.
 
+The ranks and the random strict equivalences run on int rows:
+``_tangent_rank``, ``_normal_rank`` and ``_equivalent`` take m, n and the
+rows of d*A and d*B.  The public functions unpack a pencil's integer
+form; the ``formulas`` suite calls them on rows alone and forms no Fraction.
+
 Block conventions (any convention with the right elementary divisors
 works; this one keeps entries in {-mu, 0, 1}):
 
@@ -42,7 +47,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add
 
 from .core import KroneckerStructure, eigenvalues, size_of
 from .errors import InvariantViolationError, MissingLabelError, NonInjectiveAssignmentError
@@ -92,9 +96,12 @@ class RationalPencil:
 
     @classmethod
     def from_matrices(cls, a, b):
-        m = len(a)
-        n = len(a[0]) if a else 0
-        return cls(m=m, n=n, a=a, b=b)
+        """The pencil of the rows ``a`` and ``b``, n read from the first
+        row.  With no rows there is no n to read, so that raises ``ValueError``."""
+        if not len(a):
+            raise ValueError("from_matrices needs a row to read n from; "
+                             "use RationalPencil(m=0, n=n, a=(), b=()) for a pencil with no rows")
+        return cls(m=len(a), n=len(a[0]), a=a, b=b)
 
     def at(self, t: Fraction):
         """The matrix A + t*B, as lists of rows."""
@@ -255,11 +262,10 @@ def exact_rank(matrix) -> int:
     return _eliminate([entries for entries in map(_integer_entries, matrix) if entries], ncols)[0]
 
 
-def _tangent_rank(P: RationalPencil):
-    """The rank of the derivative T of ``P``, and the shape of the
-    remainder Z whose rank it took (see the module docstring)."""
-    m, n = P.m, P.n
-    a, b, _ = P._integers
+def _tangent_rank(m: int, n: int, a, b):
+    """The rank of the derivative T of the m x n pencil of the int rows
+    ``a`` and ``b``, and the shape of the remainder Z whose rank it took
+    (see the module docstring)."""
     if m > n:
         a, b, m, n = tuple(zip(*a)), tuple(zip(*b)), n, m
     # [E | I]: row k < m is A[k], row m + k is B[k], with a 1 in column n + k
@@ -298,72 +304,85 @@ def tangent_codimension(P: RationalPencil) -> int:
     T and keeps its rank.  The full 2mn x (m^2 + n^2) matrix is never
     built.
     """
-    return 2 * P.m * P.n - _tangent_rank(P)[0]
+    return 2 * P.m * P.n - _tangent_rank(P.m, P.n, *P._integers[:2])[0]
 
 
-class _Row(list):
-    """A row of ints that scales and adds entrywise."""
+def _equivalent(m: int, n: int, a, b, seed: int, num_ops: int | None = None):
+    """The int rows (A', B') after ``num_ops`` (default 2*(m+n)) elementary
+    operations drawn from ``random.Random(seed)``, each applied to the m x n
+    int rows ``a`` and ``b`` at once, as new lists.
 
-    def __rmul__(self, c):
-        return _Row(map(c.__mul__, self))
-
-    def __add__(self, other):
-        return _Row(map(add, self, other))
-
-
-# Each operation acts on items i and j of every line in ``lines``: rows i
-# and j of A and B (as _Rows), or entries i and j of every row.
-def _scale(lines, i, j, c):  # i == j
-    for line in lines:
-        line[i] = c * line[i]
-
-
-def _swap(lines, i, j, c):
-    for line in lines:
-        line[i], line[j] = line[j], line[i]
-
-
-def _axpy(lines, i, j, c):  # item j += c * item i
-    for line in lines:
-        line[j] = line[j] + c * line[i]
-
-
-_OPERATIONS = (  # (the rows or columns it needs, the factors it draws, the operation)
-    (1, (-3, -2, -1, 2, 3), _scale),
-    (2, (), _swap),
-    (2, (-3, -2, -1, 1, 2, 3), _axpy),
-)
+    Each draw picks rows or columns and one of: scale one by -3, -2, -1, 2
+    or 3; swap two; add -3, ..., 3 (not 0) times one to another.  A row
+    operation rebuilds the rows it changes; a column operation changes
+    every row of A and B in place.  The draws and their order fix every
+    derived pencil, so changing either changes them all.
+    """
+    rng = random.Random(seed)
+    if num_ops is None:
+        num_ops = 2 * (m + n)
+    a, b = list(map(list, a)), list(map(list, b))
+    ops = [(on_rows, count, op) for on_rows, count in ((True, m), (False, n))
+           for op, least in (("scale", 1), ("swap", 2), ("axpy", 2)) if count >= least]
+    for _ in range(num_ops) if ops else ():
+        on_rows, count, op = rng.choice(ops)
+        if op == "scale":
+            c, i = rng.choice((-3, -2, -1, 2, 3)), rng.randrange(count)
+            if on_rows:
+                a[i], b[i] = [c * x for x in a[i]], [c * x for x in b[i]]
+            else:
+                for row in a + b:
+                    row[i] *= c
+        elif op == "swap":
+            i, j = rng.sample(range(count), 2)
+            if on_rows:
+                a[i], a[j], b[i], b[j] = a[j], a[i], b[j], b[i]
+            else:
+                for row in a + b:
+                    row[i], row[j] = row[j], row[i]
+        else:  # item j += c * item i
+            i, j = rng.sample(range(count), 2)
+            c = rng.choice((-3, -2, -1, 1, 2, 3))
+            if on_rows:
+                a[j] = [y + c * x for x, y in zip(a[i], a[j])]
+                b[j] = [y + c * x for x, y in zip(b[i], b[j])]
+            else:
+                for row in a + b:
+                    row[j] += c * row[i]
+    return a, b
 
 
 def random_equivalence(P: RationalPencil, seed: int, num_ops: int | None = None) -> RationalPencil:
     """A pencil strictly equivalent to ``P``, derived deterministically.
 
     Applies ``num_ops`` elementary row and column operations (default
-    2*(m+n)) with small integer parameters to A and B simultaneously;
-    each operation is invertible by construction, so the result is
-    Q_left * P * Q_right for invertible rational Q_left, Q_right.  The
-    operations run on the integer form (d*A, d*B) of ``P``, and the result
-    keeps its own integer form; its entries are divided by d once.
-    ``num_ops=0`` returns a pencil equal to ``P``.
+    2*(m+n)) with small integer parameters to A and B simultaneously (see
+    :func:`_equivalent`); each operation is invertible by construction, so
+    the result is Q_left * P * Q_right for invertible rational Q_left,
+    Q_right.  The operations run on the integer form (d*A, d*B) of ``P``,
+    as plain lists of ints, and the result keeps its own integer form; its
+    entries are divided by d once.  ``num_ops=0`` returns a pencil equal
+    to ``P``.
     """
-    rng = random.Random(seed)
-    m, n = P.m, P.n
-    if num_ops is None:
-        num_ops = 2 * (m + n)
     a, b, d = P._integers
-    a, b = list(map(_Row, a)), list(map(_Row, b))
-    ops = [(on_rows, count, factors, apply) for on_rows, count in ((True, m), (False, n))
-           for least, factors, apply in _OPERATIONS if count >= least]
-    for _ in range(num_ops) if ops else ():
-        on_rows, count, factors, apply = rng.choice(ops)
-        if apply is _scale:
-            c = rng.choice(factors)
-            i = j = rng.randrange(count)
-        else:
-            i, j = rng.sample(range(count), 2)
-            c = rng.choice(factors) if factors else None
-        apply((a, b) if on_rows else a + b, i, j, c)
-    return _from_integers(m, n, a, b, d)
+    return _from_integers(P.m, P.n, *_equivalent(P.m, P.n, a, b, seed, num_ops), d)
+
+
+def _normal_rank(m: int, n: int, a, b, sample_points=None):
+    """The normal rank of the m x n pencil of the int rows ``a`` and ``b``
+    (see :func:`normal_rank`), and the number of points it evaluated."""
+    full = min(m, n)  # no point can rank higher
+    if sample_points is None:
+        sample_points = range(full + 1)
+    ranks = []
+    for t in sample_points:
+        p, q = Fraction(t).as_integer_ratio()
+        rows = [{j: v for j, (x, y) in enumerate(zip(row_a, row_b)) if (v := q * x + p * y)}
+                for row_a, row_b in zip(a, b)]
+        ranks.append(_eliminate([row for row in rows if row], n)[0])
+        if ranks[-1] == full:
+            break
+    return max(ranks), len(ranks)
 
 
 def normal_rank(P: RationalPencil, sample_points=None) -> int:
@@ -372,17 +391,11 @@ def normal_rank(P: RationalPencil, sample_points=None) -> int:
     Sampled as the maximum rank over the given evaluation points, by
     default 0, 1, ..., min(m, n).  The rank drops only at the eigenvalues,
     and there are at most min(m, n) of them, so any min(m, n) + 1
-    distinct points are enough.  At t = p/q the rank is that of the
-    integer matrix q*(d*A) + p*(d*B), d a common denominator of ``P``,
-    whose nonzero entries go straight to :func:`_eliminate`.
+    distinct points are enough.  No point can rank above min(m, n), so
+    sampling stops at the first point that reaches it.  At t = p/q the
+    rank is that of the integer matrix q*(d*A) + p*(d*B), d a common
+    denominator of ``P``, whose nonzero entries go straight to
+    :func:`_eliminate`.
     """
-    if sample_points is None:
-        sample_points = range(min(P.m, P.n) + 1)
     a, b, _ = P._integers
-    ranks = []
-    for t in sample_points:
-        p, q = Fraction(t).as_integer_ratio()
-        rows = [{j: v for j, (x, y) in enumerate(zip(row_a, row_b)) if (v := q * x + p * y)}
-                for row_a, row_b in zip(a, b)]
-        ranks.append(_eliminate([row for row in rows if row], P.n)[0])
-    return max(ranks)
+    return _normal_rank(P.m, P.n, a, b, sample_points)[0]

@@ -46,7 +46,7 @@ from .core import (
     weyr_singular,
 )
 from .errors import EnumerationLimitExceededError, InvalidSizeError
-from .pencils import normal_rank, random_equivalence, realize
+from .pencils import realize
 
 __all__ = [
     "CheckResult",
@@ -507,11 +507,17 @@ def verify_formula_identities(
     under ``FORMULA_SEEDS`` random strict equivalences, seeded
     ``seed_base, seed_base + 1, ...``.
 
+    Each structure is realized once, as a ``RationalPencil``; its
+    integer rows are then moved, and both ranks taken, as plain int rows
+    (``pencils._equivalent``, ``_tangent_rank`` and ``_normal_rank``).
+
     ``stats`` holds the tangent rank calls, and per pair of shapes how
     many took the rank of a remainder of the second shape in place of a
-    full derivative of the first; the normal rank calls and the points
-    they evaluated; and ``seconds``, the ``time.perf_counter`` totals of
-    realize, equivalence, tangent rank and normal rank.
+    full derivative of the first; the normal rank calls, and in
+    ``normal_rank_points`` the points they evaluated (sampling stops at
+    the first point of rank min(m, n)); and ``seconds``, the
+    ``time.perf_counter`` totals of realize (with the integer rows),
+    equivalence, tangent rank and normal rank.
     """
     start = time.monotonic()
     nodes = enumerate_structures(m, n, pool_size, include_infinity)
@@ -530,14 +536,15 @@ def verify_formula_identities(
         seconds[phase] += time.perf_counter() - t0
         return out
 
-    def tangent_codim(P):
-        rank, remainder = timed("tangent_rank", pencils._tangent_rank, P)
-        shapes[(2 * P.m * P.n, P.m ** 2 + P.n ** 2), remainder] += 1
-        return 2 * P.m * P.n - rank
+    def tangent_codim(mm, nn, a, b):
+        rank, remainder = timed("tangent_rank", pencils._tangent_rank, mm, nn, a, b)
+        shapes[(2 * mm * nn, mm ** 2 + nn ** 2), remainder] += 1
+        return 2 * mm * nn - rank
 
-    def normal(P):
-        normal_points.append(min(P.m, P.n) + 1)
-        return timed("normal_rank", normal_rank, P)
+    def normal(mm, nn, a, b):
+        rank, points = timed("normal_rank", pencils._normal_rank, mm, nn, a, b)
+        normal_points.append(points)
+        return rank
 
     for K in nodes:
         mm, nn = size_of(K)
@@ -552,18 +559,19 @@ def verify_formula_identities(
         tracker.record("size_identities",
                        mm == sum(r[1:]) + sum(ell) + w_total
                        and nn == sum(r) + sum(ell[1:]) + w_total, info)
-        pencil = timed("realize", realize, K)
-        oracle = tangent_codim(pencil)
+        a, b, _ = timed("realize", lambda: realize(K)._integers)
+        oracle = tangent_codim(mm, nn, a, b)
         tracker.record(
             "codim_matches_tangent_corank",
             codimension(K) == oracle,
             {**info, "tangent_codim": oracle},
         )
         for seed in range(seed_base, seed_base + FORMULA_SEEDS):
-            moved = timed("equivalence", random_equivalence, pencil, seed)
+            moved = timed("equivalence", pencils._equivalent, mm, nn, a, b, seed)
             tracker.record(
                 "codim_invariant_under_equivalence",
-                tangent_codim(moved) == codimension(K) and normal(moved) == rank_of(K),
+                tangent_codim(mm, nn, *moved) == codimension(K)
+                and normal(mm, nn, *moved) == rank_of(K),
                 {**info, "seed": seed},
             )
     checks = tracker.results([

@@ -72,6 +72,9 @@ GOLDEN = [
     (("realize", "J(2;e1) + J(1;e1) + J(3;e2) + J(2;inf) + L(1) + L(0) + LT(2) + LT(0)",
       "--assign", "e1=7/2,e2=-2/3", "--json"), 0,
      "a506c339e9afe9a919074fd64c89008ce7fa5d87760e4954b5531e71ed0cc556"),
+    # the formulas suite at one of the sizes the benchmark runs
+    (("verify", "4", "5", "--checks", "formulas", "--seed", "0", "--json"), 0,
+     "5cd9d3f20e92a8c50ed488b8a60129e5e12babe07aaf45b7b60347f8403c85ab"),
     # the e1 condition fails, the e2 condition holds
     (("closure", "J(1;e1) + L(1)", "J(1;e2) + L(1)"), 3,
      "8790150620560fe7fe332ea39866a40c89bb76fb9fe77238498fd7bc436c2072"),

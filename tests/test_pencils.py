@@ -219,7 +219,7 @@ class TestTangentCodimension:
         for K in enumerate_structures(5, n):
             for P in (realize(K), random_equivalence(realize(K), 11)):
                 assert tangent_codimension(P) == dense_tangent_codimension(P), K
-                assert _tangent_rank(P)[1][1] == n * n
+                assert _tangent_rank(P.m, P.n, *P._integers[:2])[1][1] == n * n
 
     @pytest.mark.parametrize("K", [
         S(right=[0]),
@@ -241,7 +241,7 @@ class TestTangentCodimension:
             a, b = (Q.a, Q.b) if Q.m <= Q.n else (list(zip(*Q.a)), list(zip(*Q.b)))
             rho = naive_rank(list(a) + list(b))
             assert zero_blocks and rho == n - zero_blocks
-            assert _tangent_rank(Q)[1] == (n * (2 * m - rho), m * m)
+            assert _tangent_rank(Q.m, Q.n, *Q._integers[:2])[1] == (n * (2 * m - rho), m * m)
             assert (tangent_codimension(Q) == dense_tangent_codimension(Q)
                     == sparse_tangent_codimension(Q) == codimension(K)), K
 
@@ -345,6 +345,21 @@ def test_normal_rank_samples_past_every_eigenvalue():
     assert normal_rank(P, sample_points=values) == 5
 
 
+@pytest.mark.parametrize("m", range(1, 5))
+def test_normal_rank_is_the_maximum_over_every_default_point(m):
+    # sampling stops at the first point of rank min(m, n), above which no
+    # point can rank, so the maximum over all min(m, n) + 1 points is kept
+    for n in range(1, 5):
+        full = min(m, n)
+        for K in enumerate_structures(m, n):
+            P = realize(K)
+            for Q in (P, *(random_equivalence(P, seed) for seed in range(3))):
+                expected = max(exact_rank(Q.at(t)) for t in range(full + 1))
+                assert normal_rank(Q) == expected, K
+                evaluated = pencils._normal_rank(Q.m, Q.n, *Q._integers[:2])[1]
+                assert evaluated == (1 if expected == full else full + 1), K
+
+
 def test_normal_rank_at_rational_points():
     P = realize(S(jordan=[(e1, 2)]), {e1: Fraction(7, 2)})
     assert normal_rank(P, sample_points=[Fraction(7, 2)]) == 1
@@ -354,6 +369,21 @@ def test_normal_rank_at_rational_points():
 def test_pencil_validation():
     with pytest.raises(ValueError):
         RationalPencil(m=2, n=2, a=[[1, 0]], b=[[0, 1]])
+
+
+class TestFromMatrices:
+    def test_no_rows_raises(self):
+        # n cannot be read from no rows: L(0) + L(0) is 0x2
+        P = realize(S(right=[0, 0]))
+        for a, b in (((), ()), (P.a, P.b)):
+            with pytest.raises(ValueError, match=r"RationalPencil\(m=0"):
+                RationalPencil.from_matrices(a, b)
+
+    def test_round_trip(self):
+        structures = [K for m in range(1, 4) for n in range(1, 4) for K in enumerate_structures(m, n)]
+        for K in structures + [S(left=[0, 0, 0])]:  # and 3x0, rows with no entries
+            P = realize(K)
+            assert RationalPencil.from_matrices(P.a, P.b) == P, K
 
 
 def test_pencil_json_round_shape():

@@ -21,7 +21,7 @@ from kcforbits.core import (
     weyr_singular,
 )
 from kcforbits.errors import EnumerationLimitExceededError, InvalidSizeError
-from kcforbits import core, rules
+from kcforbits import core, pencils, rules
 from kcforbits import verify as verify_mod
 from kcforbits.verify import (
     cross_validate_characterizations,
@@ -143,8 +143,45 @@ class TestSuites:
             assert s["full"] == (2 * m * n, m * m + n * n)
             assert cols == small ** 2 and rows % large == 0 and rows <= 2 * small * large
         assert stats["normal_rank_calls"] == report.node_count * 5
-        assert stats["normal_rank_points"] == stats["normal_rank_calls"] * (small + 1)
+        # the points evaluated: a full-rank pencil stops at t = 0, which no
+        # default eigenvalue takes; any other evaluates all small + 1 points
+        nodes = enumerate_structures(m, n)
+        assert stats["normal_rank_points"] == 5 * sum(
+            1 if rank_of(K) == small else small + 1 for K in nodes)
         assert set(stats["seconds"]) == {"realize", "equivalence", "tangent_rank", "normal_rank"}
+
+    def test_formulas_builds_one_pencil_per_structure(self, monkeypatch):
+        # the moved pencils stay int rows; only realize builds a RationalPencil
+        built = []
+        init = pencils.RationalPencil.__post_init__
+
+        def counted(self):
+            built.append((self.m, self.n))
+            init(self)
+
+        monkeypatch.setattr(pencils.RationalPencil, "__post_init__", counted)
+        report = verify_formula_identities(3, 3)
+        assert report.passed and len(built) == report.node_count
+
+    def test_formulas_counterexample_names_structure_and_seed(self, monkeypatch):
+        equivalent = pencils._equivalent
+
+        def broken(m, n, a, b, seed, num_ops=None):  # not an equivalence: row 0 is lost
+            a, b = equivalent(m, n, a, b, seed, num_ops)
+            a[0] = b[0] = [0] * n
+            return a, b
+
+        monkeypatch.setattr(pencils, "_equivalent", broken)
+        report = verify_formula_identities(3, 3, seed_base=7)
+        check = {c.check_id: c for c in report.checks}["codim_invariant_under_equivalence"]
+        assert not check.passed
+        example = check.counterexample
+        assert example["seed"] in range(7, 7 + verify_mod.FORMULA_SEEDS)
+        # the named structure and seed reproduce the failure
+        K, = [K for K in enumerate_structures(3, 3) if str(K) == example["structure"]]
+        a, b = broken(3, 3, *pencils.realize(K)._integers[:2], example["seed"])
+        assert (2 * 3 * 3 - pencils._tangent_rank(3, 3, a, b)[0] != codimension(K)
+                or pencils._normal_rank(3, 3, a, b)[0] != rank_of(K))
 
     def test_zero_violations_at_full_scale(self):
         # dim and rules suites at every size up to 3x3, formulas up to 4x4
