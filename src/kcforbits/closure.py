@@ -4,7 +4,9 @@ Whether one orbit lies in the closure of another is decided by three
 weak-majorization conditions between the Weyr characteristics of the two
 structures, shifted by the rank drop h: one pair at a time by
 :func:`degenerates_to`, or all pairs of two lists at once by
-:func:`closure_bitsets`.  Orientation convention used
+:func:`closure_bitsets`.  :func:`build_closure_graph` takes the down sets
+of a node list from one batch and finds its covers by down-set levels,
+one bitset step per level and per cover.  Orientation convention used
 everywhere in this package: ``degenerates_to(L, M)`` is true when M lies
 in the closure of the orbit of L, i.e. pencils with structure L can
 degenerate to the more special structure M.
@@ -12,7 +14,7 @@ degenerate to the more special structure M.
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, tee
 
 from .core import KroneckerStructure, _label, codimension, size_of
 from .errors import DuplicateNodeError, InvariantViolationError, SizeMismatchError
@@ -174,13 +176,15 @@ def _profile_columns(records: list, lengths: tuple):
     parts += [(1, k, by_label[mu]) for mu, k in weyr_lengths]
     for sign, k, seqs in parts:
         # one row of k values per distinct (sequence, rank), then transposed
-        rows = {}
+        rows, table = {}, []
         for key in zip(seqs, ranks):
-            if key not in rows:
+            row = rows.get(key)
+            if row is None:
                 seq, rank = key
                 sums = accumulate(seq + (0,) * (k - len(seq)))
-                rows[key] = [sign * total - j * rank for j, total in enumerate(sums, 1)]
-        yield from zip(*[rows[key] for key in zip(seqs, ranks)])
+                row = rows[key] = [sign * total - j * rank for j, total in enumerate(sums, 1)]
+            table.append(row)
+        yield from zip(*table)
 
 
 def _dominated(universe, queries, size: int, count: int) -> list:
@@ -209,6 +213,24 @@ def _dominated(universe, queries, size: int, count: int) -> list:
     return related
 
 
+def _lengths(batch: list) -> tuple:
+    """The longest r, the longest l and, per label code, the longest Weyr
+    sequence over the invariant records ``batch``: the lengths
+    :func:`_profile_columns` zero-extends to.  Records of different sizes
+    raise :class:`SizeMismatchError`."""
+    weyr = {}
+    for rec in batch:
+        if rec.size != batch[0].size:
+            raise SizeMismatchError(f"cannot compare {batch[0].size} with {rec.size}")
+        for mu, seq in rec.weyr:
+            weyr[mu] = max(weyr.get(mu, 0), len(seq))
+    return (
+        max((len(rec.r) for rec in batch), default=0),
+        max((len(rec.l) for rec in batch), default=0),
+        tuple(weyr.items()),
+    )
+
+
 def closure_records(sources: list, targets: list) -> list:
     """:func:`closure_bitsets` on invariant records instead of structures.
 
@@ -216,18 +238,7 @@ def closure_records(sources: list, targets: list) -> list:
     ``rank``, ``r``, ``l`` and ``weyr`` ((code, sequence) pairs); codes are
     only compared for equality, so sources and targets must share them.
     """
-    batch = sources + targets
-    weyr = {}
-    for rec in batch:
-        if rec.size != batch[0].size:
-            raise SizeMismatchError(f"cannot compare {batch[0].size} with {rec.size}")
-        for mu, seq in rec.weyr:
-            weyr[mu] = max(weyr.get(mu, 0), len(seq))
-    lengths = (
-        max((len(rec.r) for rec in batch), default=0),
-        max((len(rec.l) for rec in batch), default=0),
-        tuple(weyr.items()),
-    )
+    lengths = _lengths(sources + targets)
     return _dominated(_profile_columns(sources, lengths),
                       _profile_columns(targets, lengths), len(sources), len(targets))
 
@@ -289,12 +300,19 @@ class ClosureGraph:
 
 
 def build_closure_graph(nodes) -> ClosureGraph:
-    """Covering edges of the closure order on ``nodes``.
+    """Covering edges of the closure order on ``nodes``, reduced by
+    down-set levels; reads no codimension.
 
     All nodes must share one pencil size and be pairwise distinct as
-    orbits.  The full relation comes from one :func:`closure_bitsets`
-    batch and is then transitively reduced with bitsets; every covering
-    edge must raise the codimension.
+    orbits.  The down set of every node, the nodes in the closure of its
+    orbit, comes from one :func:`_dominated` batch on the negated profile
+    columns: profile(i) <= profile(j) exactly when -profile(j) <=
+    -profile(i).  A node strictly below another has the smaller down set,
+    so walking a down set by decreasing down-set size meets every node
+    after all the nodes above it.  Per node i, the nodes of its down set
+    still left at a level are covers of i, and their own down sets leave
+    with them.  Only then is each covering edge checked to raise the
+    codimension.
     """
     nodes = tuple(nodes)
     seen = set()
@@ -305,19 +323,32 @@ def build_closure_graph(nodes) -> ClosureGraph:
         if node in seen:
             raise DuplicateNodeError(f"duplicate node {node}")
         seen.add(node)
-    # up[j]: nodes whose closure holds node j; down[i]: nodes in the
-    # closure of node i's orbit.  (i, j) is a cover iff no k is in both.
-    up = [bits & ~(1 << j) for j, bits in enumerate(closure_bitsets(nodes, nodes))]
-    down = _transpose(up, len(nodes))
-    codims = tuple(codimension(node) for node in nodes)
+    records = [node._invariants() for node in nodes]
+    columns = ([-value for value in column]
+               for column in _profile_columns(records, _lengths(records)))
+    down = _dominated(*tee(columns), len(nodes), len(nodes))  # bit j: j below i, or j = i
+    counts = [bits.bit_count() for bits in down]
+    levels = {}
+    for j, size in enumerate(counts):
+        levels[size] = levels.get(size, 0) | 1 << j
+    sizes = sorted(levels)
     edges = []
-    for i, below in enumerate(down):
-        for j in set_bits(below):
-            if below & up[j]:
-                continue
-            if codims[i] >= codims[j]:
-                raise InvariantViolationError(
-                    f"covering edge {nodes[i]} -> {nodes[j]} does not increase codimension"
-                )
-            edges.append((i, j))
+    for i, bits in enumerate(down):
+        rest, covers = bits & ~(1 << i), 0
+        # only levels below node i's own can hold a node strictly below it
+        for size in reversed(sizes[:bisect_left(sizes, counts[i])]):
+            top = rest & levels[size]
+            if top:
+                covers |= top
+                for j in set_bits(top):
+                    rest &= ~down[j]
+                if not rest:
+                    break
+        edges += [(i, j) for j in set_bits(covers)]
+    codims = tuple(codimension(node) for node in nodes)
+    for i, j in edges:
+        if codims[i] >= codims[j]:
+            raise InvariantViolationError(
+                f"covering edge {nodes[i]} -> {nodes[j]} does not increase codimension"
+            )
     return ClosureGraph(nodes=nodes, codimensions=codims, edges=tuple(edges))

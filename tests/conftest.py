@@ -17,8 +17,10 @@ source's descendants memoized as node bitsets, no reservoir quotient)
 instead of its ancestor sweep, reservoir labels renamed on structures
 instead of on keys, a triple-loop transitive reduction instead
 of the bitset one, a depth-first transitive closure of the Hasse
-edges, and tuple sort keys for labels, structures and rule instances
-instead of the label codes the library sorts by.
+edges, the ``dim`` suite's every check on every related pair instead of
+on the pairs its codimension masks select, and tuple sort keys for
+labels, structures and rule instances instead of the label codes the
+library sorts by.
 """
 
 import math
@@ -30,7 +32,7 @@ from itertools import combinations, groupby, permutations
 
 from hypothesis import strategies as st
 
-from kcforbits import closure, rules
+from kcforbits import closure, rules, verify
 from kcforbits.rules import RuleGraph, RuleInstance
 from kcforbits.closure import degenerates_to, set_bits
 from kcforbits.core import (
@@ -524,6 +526,43 @@ def closure_relation(graph):
                     reach[start][nxt] = True
                     stack.append(nxt)
     return reach
+
+
+def pairwise_monotonicity(m, n, pool_size=None, include_infinity=True):
+    """The ``dim`` suite's report by its former loop: all three checks
+    recorded on every related pair of every label set, in the suite's
+    order.  It reads ``verify._conditions`` and the rows of
+    ``verify._closure_rows`` at call time, so a fault patched into either
+    reaches both routes."""
+    nodes = enumerate_structures(m, n, pool_size, include_infinity)
+    base = rules._fresh_reservoir(1, map(eigenvalues, nodes))[0].sort_key()
+    tracker = verify._Tracker()
+    pair_count = 0
+    for _, group, sources, related, _ in verify._closure_rows(nodes, verify.DEFAULT_MAX_PAIRS,
+                                                              base):
+        pair_count += len(group) * len(sources)
+        for M, bits in zip(group, related):
+            target = M._invariants()
+            cm = target.codim
+            for k in set_bits(bits):
+                L = sources[k]
+                cl = L.codim
+
+                def info():
+                    return {"L": str(verify.structure_from_key(L.key)), "M": str(M),
+                            "codim_L": cl, "codim_M": cm, "h": L.rank - target.rank}
+
+                tracker.record("codim_monotone", cl <= cm, info)
+                tracker.record("codim_equality_iff_same_orbit",
+                               (cl == cm) == (L.key == target.key), info)
+                if cl == cm:
+                    h, conditions = verify._conditions(L, target)
+                    ok = h == 0 and all(lower == upper for _, lower, upper in conditions)
+                    tracker.record("equality_forces_equal_majorizations", ok, info)
+    checks = tracker.results(["codim_monotone", "codim_equality_iff_same_orbit",
+                              "equality_forces_equal_majorizations"])
+    return verify.VerificationReport(size=(m, n), node_count=len(nodes),
+                                     pair_count=pair_count, checks=checks)
 
 
 def naive_hasse_edges(nodes):

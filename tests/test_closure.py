@@ -18,6 +18,7 @@ from kcforbits.core import (
     INFINITY,
     KroneckerStructure,
     block_invariants,
+    codimension,
     eigenvalues,
     finite,
     rank_of,
@@ -217,6 +218,25 @@ class TestClosureGraph:
         nodes = enumerate_structures(m, n)
         assert build_closure_graph(nodes).edges == naive_hasse_edges(nodes)
 
+    @pytest.mark.parametrize("settings", [{"pool_size": 1}, {"include_infinity": False}],
+                             ids=["pool-1", "no-infinity"])
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in range(1, 5)])
+    def test_bitset_reduction_matches_triple_loop_on_other_node_sets(self, m, n, settings):
+        nodes = enumerate_structures(m, n, **settings)
+        assert build_closure_graph(nodes).edges == naive_hasse_edges(nodes)
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (3, 4)])
+    def test_negated_codimension_raises_on_the_first_edge(self, monkeypatch, m, n):
+        # the covers are found before any codimension is read, so the
+        # first edge in (i, j) order is the one named
+        nodes = enumerate_structures(m, n)
+        i, j = naive_hasse_edges(nodes)[0]
+        monkeypatch.setattr(closure, "codimension", lambda K: -codimension(K))
+        with pytest.raises(InvariantViolationError) as raised:
+            build_closure_graph(nodes)
+        assert str(raised.value) == (f"covering edge {nodes[i]} -> {nodes[j]} "
+                                     "does not increase codimension")
+
     def test_edge_without_codimension_increase_raises(self, monkeypatch):
         monkeypatch.setattr(closure, "codimension", lambda K: 0)
         with pytest.raises(InvariantViolationError):
@@ -275,7 +295,7 @@ class TestClosureBitsets:
         nodes = enumerate_structures(m, n)
         base = rules._fresh_reservoir(min(m, n), map(eigenvalues, nodes))[0].id
         rows = []
-        for _, group, sources, related in verify_mod._closure_rows(nodes, 10**7, base):
+        for _, group, sources, related, _ in verify_mod._closure_rows(nodes, 10**7, base):
             sources = [structure_from_key(L.key) for L in sources]
             assert related == oracle_bitsets(sources, group), [str(M) for M in group]
             rows += group

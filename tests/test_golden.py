@@ -75,6 +75,14 @@ GOLDEN = [
     # the formulas suite at one of the sizes the benchmark runs
     (("verify", "4", "5", "--checks", "formulas", "--seed", "0", "--json"), 0,
      "5cd9d3f20e92a8c50ed488b8a60129e5e12babe07aaf45b7b60347f8403c85ab"),
+    # the closure graph above 6x6 and without infinity, and the dim suite
+    # with a one-label pool
+    (("graph", "7", "7", "--json"), 0,
+     "9cc94c3800ea08a4481f65d4037780cf3a0b0f3cde35a22f8730c4e3bb78fb5f"),
+    (("graph", "5", "5", "--no-infinity", "--dot"), 0,
+     "96474371d3ccc7d21c37a1a329a28912af37a58638be343cbff2c2ad0adc6e84"),
+    (("verify", "5", "5", "--checks", "dim", "--pool", "1", "--json"), 0,
+     "42ae6f2afb2025aa366b7bbf1642599bb11a39c9d2ede5ba3f538af7af6d3604"),
     # the e1 condition fails, the e2 condition holds
     (("closure", "J(1;e1) + L(1)", "J(1;e2) + L(1)"), 3,
      "8790150620560fe7fe332ea39866a40c89bb76fb9fe77238498fd7bc436c2072"),

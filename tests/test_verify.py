@@ -5,7 +5,12 @@ import weakref
 
 import pytest
 
-from conftest import brute_force_structures, relabel_matchings, reservoir_canonical
+from conftest import (
+    brute_force_structures,
+    pairwise_monotonicity,
+    relabel_matchings,
+    reservoir_canonical,
+)
 from kcforbits.core import (
     INFINITY,
     KroneckerStructure,
@@ -242,6 +247,91 @@ class TestSuites:
         assert {"L", "M", "codim_L", "codim_M", "h", "violations"} <= set(example)
 
 
+SETTINGS = [{}, {"pool_size": 1}, {"include_infinity": False}]
+SETTING_IDS = ["default", "pool-1", "no-infinity"]
+
+
+class TestDimMasks:
+    """The ``dim`` suite, which checks only the pairs its codimension masks
+    and key lookup select, against its former loop over every related pair
+    (``conftest.pairwise_monotonicity``)."""
+
+    @staticmethod
+    def assert_same_reports(m, n, settings=None):
+        fast = verify_codimension_monotonicity(m, n, **(settings or {}))
+        slow = pairwise_monotonicity(m, n, **(settings or {}))
+        # the checks, their first counterexamples and violation counts
+        assert fast.to_json_dict() == slow.to_json_dict(), (m, n, settings)
+        return fast
+
+    @pytest.mark.parametrize("settings", SETTINGS, ids=SETTING_IDS)
+    def test_matches_pair_loop(self, settings):
+        for m in range(1, 5):
+            for n in range(1, 5):
+                assert self.assert_same_reports(m, n, settings).passed
+
+    def test_negated_codimension(self, monkeypatch):
+        # every strict pair fails monotonicity, every equality still holds
+        real = core.block_invariants
+        monkeypatch.setattr(core, "block_invariants",
+                            lambda *blocks: (inv := real(*blocks))._replace(codim=-inv.codim))
+        for m in range(2, 5):
+            report = self.assert_same_reports(m, m)
+        failed = {c.check_id: c.counterexample["violations"] for c in report.checks
+                  if not c.passed}
+        assert failed == {"codim_monotone": 3522 - 90}
+
+    def test_flattened_codimension(self, monkeypatch):
+        # every related pair has equal codimensions, so only the pairs the
+        # equal-codimension mask selects can fail, and the strict ones do
+        real = core.block_invariants
+        monkeypatch.setattr(core, "block_invariants",
+                            lambda *blocks: real(*blocks)._replace(codim=0))
+        for m, n in [(2, 2), (2, 3), (3, 3), (4, 4)]:
+            report = self.assert_same_reports(m, n)
+        failed = {c.check_id: c.counterexample["violations"] for c in report.checks
+                  if not c.passed}
+        assert failed == {"codim_equality_iff_same_orbit": 3522 - 90,
+                          "equality_forces_equal_majorizations": 3522 - 90}
+
+    def test_conditions_fault(self, monkeypatch):
+        monkeypatch.setattr(verify_mod, "_conditions",
+                            lambda L, M: (0, [("right", (1,), (0,))]))
+        for m, n in [(2, 2), (3, 3), (3, 4)]:
+            report = self.assert_same_reports(m, n)
+            failed = [c.check_id for c in report.checks if not c.passed]
+            assert failed == ["equality_forces_equal_majorizations"]
+
+    def test_same_key_with_another_codimension(self, monkeypatch):
+        # a node's own matching one below the node's codimension: only the
+        # key lookup selects that pair, and only the equality check fails
+        matchings = verify_mod._matchings
+
+        def lowered(node, targets, base):
+            return [L._replace(codim=L.codim - 1) if L.key == node.key else L
+                    for L in matchings(node, targets, base)]
+
+        monkeypatch.setattr(verify_mod, "_matchings", lowered)
+        for m, n in [(2, 2), (2, 3), (3, 3), (4, 4)]:
+            report = self.assert_same_reports(m, n)
+            failed = {c.check_id: c.counterexample["violations"] for c in report.checks
+                      if not c.passed}
+            assert failed == {"codim_equality_iff_same_orbit": report.node_count}
+
+    @pytest.mark.parametrize("m, node_count, closure_pairs", [(4, 90, 3522), (5, 231, 27412)])
+    def test_stats(self, m, node_count, closure_pairs):
+        report = verify_codimension_monotonicity(m, m)
+        assert report.passed and "stats" not in report.to_json_dict()
+        stats = report.stats
+        assert stats["closure_pairs"] == closure_pairs
+        # each node with its own matching, the only related pair of equal codimension
+        assert stats["checked_pairs"] == report.node_count == node_count
+        nodes = enumerate_structures(m, m)
+        assert stats["label_sets"] == len({tuple(lbl for lbl in eigenvalues(M)
+                                                 if not lbl.is_infinite) for M in nodes})
+        assert set(stats["seconds"]) == {"matchings", "closure", "checks"}
+
+
 class TestEncodedMatchings:
     """The verifier's integer matcher against building every relabelled
     structure (``conftest.relabel_matchings``)."""
@@ -313,7 +403,7 @@ class TestMatchingsMemo:
         naive = [(L, M) for M in nodes for L0 in nodes
                  for L in relabel_matchings(L0, eigenvalues(M), base)]
         pairs, groups = {}, []  # the rows come one finite label set at a time
-        for _, group, sources, _ in verify_mod._closure_rows(nodes, 10**7, base):
+        for _, group, sources, _, _ in verify_mod._closure_rows(nodes, 10**7, base):
             groups.append([nodes.index(M) for M in group])
             for M in group:
                 pairs[M] = [(structure_from_key(L.key), M) for L in sources]
