@@ -6,7 +6,10 @@ structures, shifted by the rank drop h: one pair at a time by
 :func:`degenerates_to`, or all pairs of two lists at once by
 :func:`closure_bitsets`.  :func:`build_closure_graph` takes the down sets
 of a node list from one batch and finds its covers by down-set levels,
-one bitset step per level and per cover.  Orientation convention used
+one bitset step per level and per cover.  For the verifier, which pairs
+each node with every label matching of another, :func:`_node_part` and
+:class:`_LabelItems` decide whether some matching of a node pair is
+related, with no matching built.  Orientation convention used
 everywhere in this package: ``degenerates_to(L, M)`` is true when M lies
 in the closure of the orbit of L, i.e. pencils with structure L can
 degenerate to the more special structure M.
@@ -16,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, tee
 
-from .core import KroneckerStructure, _label, codimension, size_of
+from .core import INFINITY, KroneckerStructure, _label, codimension, size_of
 from .errors import DuplicateNodeError, InvariantViolationError, SizeMismatchError
 
 __all__ = [
@@ -28,6 +31,8 @@ __all__ = [
     "ClosureGraph",
     "build_closure_graph",
 ]
+
+_INF = INFINITY.sort_key()
 
 
 def _partial_sums(lower, upper, shift: int):
@@ -259,6 +264,93 @@ def closure_bitsets(sources, targets) -> list:
     """
     return closure_records([K._invariants() for K in sources],
                            [K._invariants() for K in targets])
+
+
+def _node_part(records) -> list:
+    """Entry j is the bitset of the nodes i whose node part holds against
+    node j, for the invariant ``records`` of a node list.
+
+    The node part of :func:`_conditions` is h >= 0 with the r, l and
+    W(infinity) conditions: no label matching changes them, since the
+    infinity label always matches itself.  So it is one
+    :func:`closure_records` batch over node x node, on the records with
+    their Weyr characteristics cut down to infinity.  The finite labels
+    are :class:`_LabelItems`' part.
+    """
+    cut = [rec._replace(weyr=rec.weyr[-1:] if rec.weyr and rec.weyr[-1][0] == _INF else ())
+           for rec in records]
+    return closure_records(cut, cut)
+
+
+class _LabelItems:
+    """The label part of the closure order on node records, under every
+    label matching at once.
+
+    A label matching of node L against node M sends each finite label nu
+    of L either to a distinct finite label mu of M or to a fresh label.
+    With h = rank L - rank M >= 0, the conditions of :func:`_conditions`
+    split into the node part (:func:`_node_part`) and one condition per
+    finite label of L, each between one value per side, as in
+    :func:`_profile_columns`.  Label nu of L becomes the item
+    x_j(L, nu) = P_j(W(nu, L)) - j*rank L, and every node gets one empty
+    item, -j*rank M, the profile of a label it does not have:
+
+      * nu matched to mu needs x(L, nu) <= x(M, mu);
+      * nu sent to a fresh label needs x(L, nu) <= empty(M);
+      * a label of M that receives nothing needs empty(L) <= x(M, mu),
+        which h >= 0 gives.
+
+    One :func:`_dominated` batch of items x (items + empties) decides
+    every one of these.  So some matching of L relates to M exactly when
+    the node part holds and L's must labels, those not below M's empty
+    item, can be assigned injectively to labels of M that lie above them:
+    every other label of L goes to a fresh label, of which there are
+    always enough.  :meth:`admits` rejects a pair at once when a must
+    label lies below no label of M; otherwise it runs an augmenting-path
+    search on at most min(m, n) labels.  ``rejections`` and ``searches``
+    count the two outcomes.
+    """
+
+    def __init__(self, records):
+        labels = [[seq for mu, seq in rec.weyr if mu != _INF] for rec in records]
+        k = max((len(seq) for seqs in labels for seq in seqs), default=0)
+        items = [(seq, rec.rank) for rec, seqs in zip(records, labels) for seq in seqs]
+        items += [((), rec.rank) for rec in records]  # the empty items
+        table = [[total - j * rank
+                  for j, total in enumerate(accumulate(seq + (0,) * (k - len(seq))), 1)]
+                 for seq, rank in items]
+        size = len(items) - len(records)
+        columns = list(zip(*table))
+        below = _dominated([column[:size] for column in columns], columns, size, len(items))
+        self.first = list(accumulate(map(len, labels), initial=0))
+        self.below = below[:size]  # bit nu of below[mu]: item nu lies below item mu
+        self.free = below[size:]  # bit nu of free[j]: nu may go to a fresh label of node j
+        self.cover = [0] * len(records)  # bit nu: nu lies below some label of node j
+        for j in range(len(records)):
+            for mu in range(self.first[j], self.first[j + 1]):
+                self.cover[j] |= self.below[mu]
+        self.rejections = self.searches = 0
+
+    def admits(self, i, j) -> bool:
+        """True iff the label part of some matching of node i against node j
+        holds: its must labels have an injective assignment."""
+        must = ((1 << self.first[i + 1]) - (1 << self.first[i])) & ~self.free[j]
+        if must & ~self.cover[j]:
+            self.rejections += 1
+            return False
+        self.searches += 1
+        below, targets, owner = self.below, range(self.first[j], self.first[j + 1]), {}
+
+        def place(nu, seen):
+            for mu in targets:
+                if below[mu] >> nu & 1 and mu not in seen:
+                    seen.add(mu)
+                    if mu not in owner or place(owner[mu], seen):
+                        owner[mu] = nu
+                        return True
+            return False
+
+        return all(place(nu, set()) for nu in set_bits(must))
 
 
 @dataclass(frozen=True)

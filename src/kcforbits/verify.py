@@ -14,13 +14,18 @@ then checks, over all ordered pairs in a shared eigenvalue-label space:
 Pairs are produced from canonical representatives by re-embedding one
 side into a shared pool through every label matching up to symmetry,
 since the closure test depends on which eigenvalues of the two
-structures coincide.  The pair suites run one finite eigenvalue set of
-the target at a time: its matchings, its closure batch and, for the
-rule route, its search universe are built, checked and dropped before
-the next set's.  Reports are deterministic for fixed inputs.
+structures coincide.  The monotonicity suite decides node pairs first:
+one batch gives, for every pair of nodes, whether some matching is
+related (:func:`closure._node_part` and :class:`closure._LabelItems`),
+and only the node pairs where a check can fail are expanded into their
+matchings.  The rule suite runs one finite eigenvalue set of the target
+at a time: its matchings, its closure batch and its search universe are
+built, checked and dropped before the next set's.  Reports are
+deterministic for fixed inputs.
 """
 
 import time
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import count, groupby
@@ -29,8 +34,12 @@ from operator import itemgetter
 
 from . import pencils, rules
 from .closure import (
+    _INF,
     _conditions,
     _dominated,
+    _in_closure,
+    _LabelItems,
+    _node_part,
     _transpose,
     closure_records,
     majorization_report,
@@ -54,6 +63,7 @@ from .core import (
     weyr_singular,
 )
 from .errors import EnumerationLimitExceededError, InvalidSizeError
+from .notation import MAX_DIGITS
 from .pencils import realize
 
 __all__ = [
@@ -88,7 +98,8 @@ class CheckResult:
 @dataclass
 class VerificationReport:
     """A suite's verdicts.  ``stats`` counts the work done (the ``dim``
-    suite: related and checked pairs, label sets and seconds per phase;
+    suite: candidate node pairs and their label step, checked pairs, label
+    sets and seconds per phase;
     the ``rules`` suite: expansions and moves per search universe; the
     ``formulas`` suite: rank calls by shape and seconds per phase); like
     the wall time, it is left out of :meth:`to_json_dict`."""
@@ -132,7 +143,8 @@ class VerificationReport:
 class _Tracker:
     """Collects the first counterexample per check id, in the order the
     checks are recorded: node order in the ``formulas`` suite, and in the
-    pair suites the group order of :func:`_closure_rows`."""
+    pair suites M by finite label set, then node order (see
+    :func:`verify_codimension_monotonicity` and :func:`_closure_rows`)."""
 
     def __init__(self):
         self.failures = {}
@@ -168,10 +180,15 @@ def enumerate_structures(
     The regular part uses at most ``pool_size`` distinct finite labels
     (default min(m, n)), assigned canonically, plus the infinity label
     unless ``include_infinity`` is false.  Output is deduplicated and
-    deterministically ordered.
+    deterministically ordered.  A dimension above 10**``MAX_DIGITS``, the
+    bound of structure notation, raises
+    :class:`EnumerationLimitExceededError` before any work.
     """
     if m < 1 or n < 1:
         raise InvalidSizeError(f"need m, n >= 1, got ({m}, {n})")
+    if max(m, n) > 10 ** MAX_DIGITS:
+        raise EnumerationLimitExceededError(
+            f"pencil of size {m}x{n} (at most 10^{MAX_DIGITS} per dimension allowed)")
     if pool_size is None:
         pool_size = min(m, n)
     if pool_size < 0:
@@ -222,9 +239,6 @@ def _regular_parts(total: int, pool_size: int, include_infinity: bool):
                     jordan.extend((finite(i + 1), s) for s in part)
                 out.append(tuple(jordan))
     return out
-
-
-_INF = INFINITY.sort_key()
 
 
 def _matchings(node, targets: tuple, base: int) -> list:
@@ -331,7 +345,9 @@ def _pair_budget(records, max_pairs) -> int:
 
 def _closure_rows(nodes, max_pairs, base):
     """(targets, group, sources, related, seconds) for every finite label
-    set, in the order of the set's first node.
+    set, in the order of the set's first node: the rows of the ``rules``
+    suite, and of the tests' oracle for the ``dim`` suite, which itself
+    decides node pairs first and builds no rows.
 
     ``targets`` are the set's finite label codes and ``group`` its nodes,
     in node order.  ``sources`` are the label matchings of every node
@@ -342,10 +358,11 @@ def _closure_rows(nodes, max_pairs, base):
     sources depend only on the finite labels (infinity always matches
     itself), so each set is matched once, one :func:`_matchings` call per
     node, and decided by one :func:`closure_records` batch; ``seconds`` is
-    the ``time.perf_counter`` time of the two.  The sets are built lazily,
-    one per step of the generator, and the generator lets go of a set's
-    sources before building the next; a caller that drops its rows before
-    the next step keeps one set alive at a time.
+    the ``time.perf_counter`` time of the two, which the ``rules`` suite
+    does not read.  The sets are built lazily, one per step of the
+    generator, and the generator lets go of a set's sources before
+    building the next; a caller that drops its rows before the next step
+    keeps one set alive at a time.
     """
     records = [M._invariants() for M in nodes]
     _pair_budget(records, max_pairs)
@@ -371,65 +388,89 @@ def verify_codimension_monotonicity(
     """Closure inclusion implies codim(L) <= codim(M), equality iff same orbit.
 
     Runs over every ordered same-size pair of enumerated structures in a
-    shared label space.  Also checks the converse refinement: equality of
-    codimensions within a closure relation forces h = 0 and equality in
-    all three majorizations.  The pairs are checked one finite label set
-    of M at a time (:func:`_closure_rows`), so a counterexample is the
-    first failing pair in that order, not in node order.
+    shared label space: each node M against every label matching of every
+    node L onto M's finite labels.  Also checks the converse refinement:
+    equality of codimensions within a closure relation forces h = 0 and
+    equality in all three majorizations.
 
     A related pair with codim(L) < codim(M) and a key other than M's
-    passes every check, so the checks run only on the related sources
-    with codim(L) >= codim(M), found for all of M's label set by one
-    threshold batch on the codimensions, and on the sources whose key is
-    M's.  ``stats`` holds ``closure_pairs``, the related pairs;
-    ``checked_pairs``, the pairs whose checks ran; ``label_sets``; and
-    ``seconds``, the ``time.perf_counter`` totals of matchings, closure
-    batch and checks.
+    passes every check, and only M's own matching has M's key.  So node
+    pairs are decided first, with no matching built: the candidates for M
+    are the nodes L != M with codim(L) >= codim(M) whose node part holds
+    against M (:func:`closure._node_part`) and some matching of whose
+    labels does (:class:`closure._LabelItems`), and M itself.  Only they
+    are expanded into their matchings, and the checks run on each matching
+    that :func:`closure._in_closure` relates to M and whose codimension is
+    at least M's or whose key is M's.  That is every pair the checks could
+    fail on, since a matching has its node's codimension.
+
+    A counterexample is the first failing pair in this order: M by finite
+    label set, the sets in the order of their first node, then M in node
+    order, then L in node order, then L's matchings in key order.  It is
+    the order of the former loop over every related pair (label set by
+    label set, M, then the matchings of every node in node order and key
+    order), restricted to the checked pairs, so the first counterexample
+    and the ``violations`` counts are the same.
+
+    ``pair_count`` is the number of label-matched pairs, counted by the
+    pair guard without building any.  ``stats`` holds
+    ``candidate_pairs``, the node pairs given to the label step;
+    ``label_rejections``, those with a must label that no label of M
+    lies above; ``assignment_searches``, the rest; ``checked_pairs``, the
+    pairs whose checks ran; ``label_sets``; and ``seconds``, the
+    ``time.perf_counter`` totals of the node batch, the label batch, the
+    label step of the candidates and the checks.
     """
     start = time.monotonic()
     nodes = enumerate_structures(m, n, pool_size, include_infinity)
+    records = [M._invariants() for M in nodes]
+    pair_count = _pair_budget(records, max_pairs)
     base = rules._fresh_reservoir(1, map(eigenvalues, nodes))[0].sort_key()
     tracker = _Tracker()
-    pair_count = closure_pairs = checked_pairs = label_sets = 0
-    seconds = dict.fromkeys(("matchings", "closure", "checks"), 0.0)
-    for _, group, sources, related, (matching_s, closure_s) in _closure_rows(nodes, max_pairs,
-                                                                             base):
-        t0 = time.perf_counter()
-        label_sets += 1
-        pair_count += len(group) * len(sources)
-        targets = [M._invariants() for M in group]
-        # bit k of at_least[s]: codim of source k >= codim of group[s]
-        at_least = _dominated([[-L.codim for L in sources]], [[-T.codim for T in targets]],
-                              len(sources), len(group))
-        same_key = dict.fromkeys([T.key for T in targets], 0)
-        for k, L in enumerate(sources):
-            if L.key in same_key:
-                same_key[L.key] |= 1 << k
-        for M, target, bits, above in zip(group, targets, related, at_least):
+    t0 = time.perf_counter()
+    node_part = _node_part(records)
+    t1 = time.perf_counter()
+    labels = _LabelItems(records)
+    t2 = time.perf_counter()
+    seconds = {"node_batch": t1 - t0, "label_batch": t2 - t1, "assignment": 0.0, "checks": 0.0}
+    # bit i of at_least[j]: codim of node i >= codim of node j
+    codims = [[-rec.codim for rec in records]]
+    at_least = _dominated(codims, codims, len(nodes), len(nodes))
+    groups = {}
+    for j, target in enumerate(records):
+        groups.setdefault(tuple([mu for mu, _ in target.weyr if mu != _INF]), []).append(j)
+    candidate_pairs = checked_pairs = 0
+    for targets, group in groups.items():
+        for j in group:
+            t0 = time.perf_counter()
+            M, target = nodes[j], records[j]
+            candidates = node_part[j] & at_least[j] & ~(1 << j)
+            candidate_pairs += candidates.bit_count()
+            expand = [i for i in set_bits(candidates) if labels.admits(i, j)]
+            insort(expand, j)
+            t1 = time.perf_counter()
             cm = target.codim
-            closure_pairs += bits.bit_count()
-            visit = bits & (above | same_key[target.key])
-            checked_pairs += visit.bit_count()
-            for k in set_bits(visit):
-                L = sources[k]
-                cl = L.codim
+            for i in expand:
+                for L in _matchings(records[i], targets, base):
+                    cl = L.codim
+                    if not ((cl >= cm or L.key == target.key) and _in_closure(L, target)):
+                        continue
+                    checked_pairs += 1
 
-                def info():
-                    return {"L": str(structure_from_key(L.key)), "M": str(M), "codim_L": cl,
-                            "codim_M": cm, "h": L.rank - target.rank}
+                    def info():
+                        return {"L": str(structure_from_key(L.key)), "M": str(M), "codim_L": cl,
+                                "codim_M": cm, "h": L.rank - target.rank}
 
-                tracker.record("codim_monotone", cl <= cm, info)
-                # same orbit: equal blocks, labels compared as concrete identities
-                tracker.record("codim_equality_iff_same_orbit",
-                               (cl == cm) == (L.key == target.key), info)
-                if cl == cm:
-                    h, conditions = _conditions(L, target)
-                    ok = h == 0 and all(lower == upper for _, lower, upper in conditions)
-                    tracker.record("equality_forces_equal_majorizations", ok, info)
-        del sources, related  # one label set alive at a time
-        seconds["matchings"] += matching_s
-        seconds["closure"] += closure_s
-        seconds["checks"] += time.perf_counter() - t0
+                    tracker.record("codim_monotone", cl <= cm, info)
+                    # same orbit: equal blocks, labels compared as concrete identities
+                    tracker.record("codim_equality_iff_same_orbit",
+                                   (cl == cm) == (L.key == target.key), info)
+                    if cl == cm:
+                        h, conditions = _conditions(L, target)
+                        ok = h == 0 and all(lower == upper for _, lower, upper in conditions)
+                        tracker.record("equality_forces_equal_majorizations", ok, info)
+            seconds["assignment"] += t1 - t0
+            seconds["checks"] += time.perf_counter() - t1
     checks = tracker.results([
         "codim_monotone",
         "codim_equality_iff_same_orbit",
@@ -441,8 +482,9 @@ def verify_codimension_monotonicity(
         pair_count=pair_count,
         checks=checks,
         elapsed_seconds=time.monotonic() - start,
-        stats={"closure_pairs": closure_pairs, "checked_pairs": checked_pairs,
-               "label_sets": label_sets, "seconds": seconds},
+        stats={"candidate_pairs": candidate_pairs, "label_rejections": labels.rejections,
+               "assignment_searches": labels.searches, "checked_pairs": checked_pairs,
+               "label_sets": len(groups), "seconds": seconds},
     )
 
 

@@ -18,7 +18,7 @@ instead of its ancestor sweep, reservoir labels renamed on structures
 instead of on keys, a triple-loop transitive reduction instead
 of the bitset one, a depth-first transitive closure of the Hasse
 edges, the ``dim`` suite's every check on every related pair instead of
-on the pairs its codimension masks select, and tuple sort keys for
+on the pairs its node-first route selects, and tuple sort keys for
 labels, structures and rule instances instead of the label codes the
 library sorts by.
 """

@@ -109,6 +109,18 @@ class TestEnumerate:
         assert len(out_small.splitlines()) < len(out_big.splitlines())
 
 
+@pytest.mark.parametrize("command", ["verify", "enumerate", "graph"])
+@pytest.mark.parametrize("m, n", [("2", "99999999999999999999"), ("1000001", "1")])
+def test_oversized_dimension_exits_70(capsys, command, m, n):
+    # refused by enumerate_structures before any work, as in structure notation
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, m, n)
+    assert time.perf_counter() - start < 1
+    assert code == 70
+    assert out == ""
+    assert err == f"guard limit: pencil of size {m}x{n} (at most 10^6 per dimension allowed)\n"
+
+
 class TestGraph:
     def test_dot_valid_and_edges_match(self, capsys):
         code, out, _ = run(capsys, "graph", "2", "2", "--dot")

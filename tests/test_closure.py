@@ -347,3 +347,68 @@ def test_dominated_with_many_distinct_thresholds():
                     for i in range(size)) for k in range(count)]
     assert closure._dominated(universe, queries, size, count) == expected
     assert closure._dominated([[]], [[0, 1]], 0, 2) == [0, 0]
+
+
+MATCHED_SIZES = [(m, n) for m in range(1, 5) for n in range(1, 5)] + [(3, 5)]
+MATCHED_SETTINGS = [{}, {"include_infinity": False}, {"pool_size": 1}]
+
+
+def matched_closure_errors(m, n, settings):
+    """The node pairs (L, M) on which the node-first engine's verdict (the
+    node part, then the label step) differs from its oracle: some
+    ``verify._matchings`` record of L against M's finite labels is related
+    to M by ``_in_closure``."""
+    nodes = enumerate_structures(m, n, **settings)
+    records = [K._invariants() for K in nodes]
+    base = rules._fresh_reservoir(1, map(eigenvalues, nodes))[0].sort_key()
+    node_part, labels = closure._node_part(records), closure._LabelItems(records)
+    wrong = []
+    for j, M in enumerate(records):
+        targets = tuple(mu for mu, _ in M.weyr if mu != closure._INF)
+        for i, L in enumerate(records):
+            engine = bool(node_part[j] >> i & 1) and labels.admits(i, j)
+            oracle = any(closure._in_closure(K, M)
+                         for K in verify_mod._matchings(L, targets, base))
+            if engine != oracle:
+                wrong.append((nodes[i], nodes[j]))
+    return wrong
+
+
+class TestMatchedOrder:
+    """``closure._node_part`` and ``closure._LabelItems`` against building
+    every label matching of every node pair."""
+
+    @pytest.mark.parametrize("settings", MATCHED_SETTINGS,
+                             ids=["default", "no-infinity", "pool-1"])
+    @pytest.mark.parametrize("m,n", MATCHED_SIZES)
+    def test_matches_every_matching(self, m, n, settings):
+        assert matched_closure_errors(m, n, settings) == []
+
+    def test_both_label_outcomes_occur(self):
+        # at 4x4 the label step rejects pairs both at once and by the search
+        nodes = enumerate_structures(4, 4)
+        records = [K._invariants() for K in nodes]
+        node_part, labels = closure._node_part(records), closure._LabelItems(records)
+        verdicts = [labels.admits(i, j) for j in range(len(nodes))
+                    for i in closure.set_bits(node_part[j])]
+        assert labels.rejections > 0
+        assert labels.searches - sum(verdicts) > 0
+
+    def test_every_label_a_must_label_fails(self, monkeypatch):
+        real = closure._LabelItems.__init__
+
+        def no_fresh_labels(self, records):
+            real(self, records)
+            self.free = [0] * len(records)
+
+        monkeypatch.setattr(closure._LabelItems, "__init__", no_fresh_labels)
+        assert len(matched_closure_errors(4, 4, {})) == 1081
+
+    def test_node_part_without_infinity_fails(self, monkeypatch):
+        def no_infinity(records):
+            cut = [rec._replace(weyr=()) for rec in records]
+            return closure.closure_records(cut, cut)
+
+        monkeypatch.setattr(closure, "_node_part", no_infinity)
+        assert len(matched_closure_errors(4, 4, {})) == 857
+        assert matched_closure_errors(4, 4, {"include_infinity": False}) == []

@@ -83,6 +83,12 @@ GOLDEN = [
      "96474371d3ccc7d21c37a1a329a28912af37a58638be343cbff2c2ad0adc6e84"),
     (("verify", "5", "5", "--checks", "dim", "--pool", "1", "--json"), 0,
      "42ae6f2afb2025aa366b7bbf1642599bb11a39c9d2ede5ba3f538af7af6d3604"),
+    # the dim suite's node-first route at 7x7 (1 365 nodes, 7 642 591
+    # label-matched pairs) and without infinity at 6x6
+    (("verify", "7", "7", "--checks", "dim", "--json"), 0,
+     "af5c6694e15b431ab8d8fc2f67a9b27d845eacb6c85badab9741f26771f12654"),
+    (("verify", "6", "6", "--checks", "dim", "--no-infinity", "--json"), 0,
+     "5d4b70c2bff647b56bf5d32a20af8ffb0fa75022edf4eaa683ff560a1a85ae15"),
     # the e1 condition fails, the e2 condition holds
     (("closure", "J(1;e1) + L(1)", "J(1;e2) + L(1)"), 3,
      "8790150620560fe7fe332ea39866a40c89bb76fb9fe77238498fd7bc436c2072"),

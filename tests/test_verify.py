@@ -86,6 +86,12 @@ class TestEnumerate:
         with pytest.raises(InvalidSizeError):
             enumerate_structures(2, 2, pool_size=-1)
 
+    @pytest.mark.parametrize("m,n", [(10**6 + 1, 1), (2, 10**20)])
+    def test_oversized_dimension(self, m, n):
+        # the bound of structure notation, checked before any work
+        with pytest.raises(EnumerationLimitExceededError, match=r"at most 10\^6"):
+            enumerate_structures(m, n)
+
     def test_deterministic_order(self):
         assert enumerate_structures(2, 2) == enumerate_structures(2, 2)
 
@@ -252,8 +258,9 @@ SETTING_IDS = ["default", "pool-1", "no-infinity"]
 
 
 class TestDimMasks:
-    """The ``dim`` suite, which checks only the pairs its codimension masks
-    and key lookup select, against its former loop over every related pair
+    """The ``dim`` suite, which decides node pairs first and checks only
+    the matchings of the candidates that pass the label step and of each
+    node with itself, against its former loop over every related pair
     (``conftest.pairwise_monotonicity``)."""
 
     @staticmethod
@@ -304,7 +311,7 @@ class TestDimMasks:
 
     def test_same_key_with_another_codimension(self, monkeypatch):
         # a node's own matching one below the node's codimension: only the
-        # key lookup selects that pair, and only the equality check fails
+        # node's pair with itself selects it, and only the equality check fails
         matchings = verify_mod._matchings
 
         def lowered(node, targets, base):
@@ -318,18 +325,48 @@ class TestDimMasks:
                       if not c.passed}
             assert failed == {"codim_equality_iff_same_orbit": report.node_count}
 
-    @pytest.mark.parametrize("m, node_count, closure_pairs", [(4, 90, 3522), (5, 231, 27412)])
-    def test_stats(self, m, node_count, closure_pairs):
+    @pytest.mark.parametrize("m, n", [(3, 3), (4, 4), (3, 5)])
+    def test_matches_each_node_only_with_itself(self, monkeypatch, m, n):
+        calls = []
+        matchings = verify_mod._matchings
+
+        def counting(node, targets, base):
+            calls.append((node.key, tuple(targets)))
+            return matchings(node, targets, base)
+
+        def no_rows(*args):
+            raise AssertionError("the dim suite builds no label-set rows")
+
+        monkeypatch.setattr(verify_mod, "_matchings", counting)
+        monkeypatch.setattr(verify_mod, "_closure_rows", no_rows)
+        assert verify_codimension_monotonicity(m, n).passed
+        # no candidate passes the label step: each node expands only with itself
+        nodes = enumerate_structures(m, n)
+        own = [(M._invariants().key,
+                tuple(lbl.id for lbl in eigenvalues(M) if not lbl.is_infinite)) for M in nodes]
+        assert len(calls) == len(set(calls)) == len(nodes)
+        assert set(calls) == set(own)
+
+    @pytest.mark.parametrize("m, node_count, closure_pairs, candidates, rejections, searches",
+                             [(4, 90, 3522, 667, 585, 82), (5, 231, 27412, 3572, 3210, 362)])
+    def test_stats(self, m, node_count, closure_pairs, candidates, rejections, searches):
         report = verify_codimension_monotonicity(m, m)
         assert report.passed and "stats" not in report.to_json_dict()
         stats = report.stats
-        assert stats["closure_pairs"] == closure_pairs
-        # each node with its own matching, the only related pair of equal codimension
-        assert stats["checked_pairs"] == report.node_count == node_count
         nodes = enumerate_structures(m, m)
+        # the related label-matched pairs, from the oracle route's rows
+        base = rules._fresh_reservoir(1, map(eigenvalues, nodes))[0].sort_key()
+        rows = verify_mod._closure_rows(nodes, 10**7, base)
+        assert sum(bits.bit_count() for _, _, _, related, _ in rows
+                   for bits in related) == closure_pairs
+        assert stats["candidate_pairs"] == candidates
+        assert stats["label_rejections"] == rejections
+        # every candidate not rejected at once runs the assignment search
+        assert stats["assignment_searches"] == searches == candidates - rejections
+        assert stats["checked_pairs"] == report.node_count == node_count
         assert stats["label_sets"] == len({tuple(lbl for lbl in eigenvalues(M)
                                                  if not lbl.is_infinite) for M in nodes})
-        assert set(stats["seconds"]) == {"matchings", "closure", "checks"}
+        assert set(stats["seconds"]) == {"node_batch", "label_batch", "assignment", "checks"}
 
 
 class TestEncodedMatchings:
@@ -412,8 +449,8 @@ class TestMatchingsMemo:
         assert all(group == sorted(group) for group in groups)
         assert [group[0] for group in groups] == sorted(group[0] for group in groups)
 
-    @pytest.mark.parametrize("suite", [verify_codimension_monotonicity,
-                                       cross_validate_characterizations])
+    # the dim suite matches node pairs, not label sets (TestDimMasks)
+    @pytest.mark.parametrize("suite", [cross_validate_characterizations])
     def test_one_call_per_eigenvalue_set_and_node(self, monkeypatch, suite):
         calls = []
         matchings = verify_mod._matchings
@@ -450,8 +487,7 @@ class TestMatchingsMemo:
         assert len(counts) == len(report.stats["universes"]) > 1
         assert counts == [1] * len(counts)
 
-    @pytest.mark.parametrize("suite", [verify_codimension_monotonicity,
-                                       cross_validate_characterizations])
+    @pytest.mark.parametrize("suite", [cross_validate_characterizations])
     def test_suites_drop_each_closure_batch(self, monkeypatch, suite):
         class Rows(list):  # a list that takes weak references
             pass
