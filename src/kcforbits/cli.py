@@ -222,6 +222,8 @@ def _parse_assignment(text):
         label = parse_eigenvalue(name.strip())
         if label.is_infinite:
             raise _UsageError("the infinity label takes no assigned value")
+        if label in assignment:
+            raise _UsageError(f"label {label} is assigned twice")
         try:
             assignment[label] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

@@ -28,7 +28,7 @@ import time
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import count, groupby
+from itertools import count, groupby, product
 from math import factorial, perm
 from operator import itemgetter
 
@@ -183,6 +183,13 @@ def enumerate_structures(
     deterministically ordered.  A dimension above 10**``MAX_DIGITS``, the
     bound of structure notation, raises
     :class:`EnumerationLimitExceededError` before any work.
+
+    A shape is a left-block count ``num_left`` (at least m - n, so that
+    ``num_right = num_left + n - m`` is never negative), a right content and
+    a left content; its structures are one product of its padded right
+    partitions, its padded left partitions and the regular parts of the
+    remaining size.  The regular parts of each size 0..min(m, n) are
+    listed once per call.
     """
     if m < 1 or n < 1:
         raise InvalidSizeError(f"need m, n >= 1, got ({m}, {n})")
@@ -193,25 +200,18 @@ def enumerate_structures(
         pool_size = min(m, n)
     if pool_size < 0:
         raise InvalidSizeError(f"pool_size must be >= 0, got {pool_size}")
+    regular = [_regular_parts(total, pool_size, include_infinity)
+               for total in range(min(m, n) + 1)]
     out = []
-    for num_left in range(m + 1):
+    for num_left in range(max(0, m - n), m + 1):
         num_right = num_left + n - m
-        if num_right < 0 or num_right > n:
-            continue
         budget = m - num_left  # total content: jordan sizes + singular sizes
-        if budget < 0:
-            continue
         for c_right in range(budget + 1):
-            if num_right == 0 and c_right > 0:
-                break
             for c_left in range(budget - c_right + 1):
-                if num_left == 0 and c_left > 0:
-                    break
-                s_reg = budget - c_right - c_left
-                for right in _padded_partitions(c_right, num_right):
-                    for left in _padded_partitions(c_left, num_left):
-                        for jordan in _regular_parts(s_reg, pool_size, include_infinity):
-                            out.append(KroneckerStructure(jordan, right, left))
+                shape = product(_padded_partitions(c_right, num_right),
+                                _padded_partitions(c_left, num_left),
+                                regular[budget - c_right - c_left])
+                out.extend(KroneckerStructure(jordan, right, left) for right, left, jordan in shape)
     out.sort(key=structure_sort_key)
     return out
 
@@ -302,12 +302,15 @@ def label_matchings(K: KroneckerStructure, target_labels) -> list:
 
 def _matching_count(runs: tuple, targets: int) -> int:
     """``len(_matchings(...))`` against ``targets`` codes for a node whose
-    finite runs have the size tuples ``runs``, in code order, with no key
-    built: the placement-merge states of :func:`_matchings`, each keeping
-    the sorted sizes placed, and each counting the distinct arrangements
-    of those sizes on the targets.
+    finite labels have the Weyr sequences ``runs``, in code order, with no
+    key built: the placement-merge states of :func:`_matchings`, each
+    keeping the sorted sequences placed, and each counting the distinct
+    arrangements of those sequences on the targets.  A label's Weyr
+    sequence fixes its Jordan partition, and the sequences are only
+    compared for equality, so they stand in for the run sizes that
+    :func:`_matchings` merges on.
     """
-    states = {((), ())}  # (sorted sizes on targets, sizes per fresh id)
+    states = {((), ())}  # (sorted values on targets, values per fresh id)
     for sizes in runs:
         states = {state for placed, fresh in states
                   for state in ((placed, fresh + (sizes,)), (tuple(sorted(placed + (sizes,))), fresh))
@@ -322,15 +325,14 @@ def _matching_count(runs: tuple, targets: int) -> int:
 
 
 def _pair_budget(records, max_pairs) -> int:
-    """The number of pairs the suites check, exactly; fail fast when over
-    budget.  Each node M checks the matchings of every node against its
-    finite labels, and their number depends only on the matched node's
-    run sizes and the count of those labels, so it is counted once per
-    (run-size sequence, label count).
+    """The number of pairs the pair suites check, exactly; fail fast when
+    over budget.  Each node M checks the matchings of every node against
+    its finite labels, and their number depends only on the matched node's
+    finite Weyr sequences and the count of those labels, so it is counted
+    once per (Weyr sequences, label count).  Each suite calls it once, at
+    its top, before any pair is built.
     """
-    runs = Counter(tuple([tuple([s for _, s in run]) for c, run in
-                          groupby(node.key[0], key=itemgetter(0)) if c != _INF])
-                   for node in records)
+    runs = Counter(tuple([seq for mu, seq in node.weyr if mu != _INF]) for node in records)
     rows = Counter(len(node_runs) for node_runs in runs.elements())
     total = 0
     for targets, row_count in sorted(rows.items()):
@@ -343,11 +345,21 @@ def _pair_budget(records, max_pairs) -> int:
     return total
 
 
-def _closure_rows(nodes, max_pairs, base):
-    """(targets, group, sources, related, seconds) for every finite label
-    set, in the order of the set's first node: the rows of the ``rules``
-    suite, and of the tests' oracle for the ``dim`` suite, which itself
-    decides node pairs first and builds no rows.
+def _label_sets(records) -> dict:
+    """The node indices of each finite label set, keyed by its label codes:
+    each set in node order, the sets in the order of their first node."""
+    sets = {}
+    for j, node in enumerate(records):
+        sets.setdefault(tuple([mu for mu, _ in node.weyr if mu != _INF]), []).append(j)
+    return sets
+
+
+def _closure_rows(nodes, base):
+    """(targets, group, sources, related) for every finite label set of
+    :func:`_label_sets`: the rows of the ``rules`` suite, and of the
+    tests' oracle for the ``dim`` suite, which itself decides node pairs
+    first and builds no rows.  The caller guards the pair count
+    (:func:`_pair_budget`).
 
     ``targets`` are the set's finite label codes and ``group`` its nodes,
     in node order.  ``sources`` are the label matchings of every node
@@ -357,24 +369,16 @@ def _closure_rows(nodes, max_pairs, base):
     ``related[s]`` is ``degenerates_to`` of source k and ``group[s]``.  The
     sources depend only on the finite labels (infinity always matches
     itself), so each set is matched once, one :func:`_matchings` call per
-    node, and decided by one :func:`closure_records` batch; ``seconds`` is
-    the ``time.perf_counter`` time of the two, which the ``rules`` suite
-    does not read.  The sets are built lazily, one per step of the
-    generator, and the generator lets go of a set's sources before
-    building the next; a caller that drops its rows before the next step
-    keeps one set alive at a time.
+    node, and decided by one :func:`closure_records` batch.  The sets are
+    built lazily, one per step of the generator, and the generator lets go
+    of a set's sources before building the next; a caller that drops its
+    rows before the next step keeps one set alive at a time.
     """
     records = [M._invariants() for M in nodes]
-    _pair_budget(records, max_pairs)
-    groups = {}
-    for M, node in zip(nodes, records):
-        groups.setdefault(tuple([mu for mu, _ in node.weyr if mu != _INF]), []).append(M)
-    for targets, group in groups.items():
-        t0 = time.perf_counter()
+    for targets, group in _label_sets(records).items():
         sources = [L for node in records for L in _matchings(node, targets, base)]
-        t1 = time.perf_counter()
-        related = closure_records(sources, [M._invariants() for M in group])
-        yield targets, group, sources, related, (t1 - t0, time.perf_counter() - t1)
+        related = closure_records(sources, [records[j] for j in group])
+        yield targets, [nodes[j] for j in group], sources, related
         del sources, related
 
 
@@ -436,9 +440,7 @@ def verify_codimension_monotonicity(
     # bit i of at_least[j]: codim of node i >= codim of node j
     codims = [[-rec.codim for rec in records]]
     at_least = _dominated(codims, codims, len(nodes), len(nodes))
-    groups = {}
-    for j, target in enumerate(records):
-        groups.setdefault(tuple([mu for mu, _ in target.weyr if mu != _INF]), []).append(j)
+    groups = _label_sets(records)
     candidate_pairs = checked_pairs = 0
     for targets, group in groups.items():
         for j in group:
@@ -501,8 +503,9 @@ def cross_validate_characterizations(
     A source M searches over its eigenvalues plus a fresh-label reservoir
     of min(m, n) labels above every enumerated label (and the infinity
     label), so the sources sharing M's finite labels share one search
-    universe, at most min(m, n) + 1 of them.  The suite runs one universe
-    at a time, in the order of :func:`_closure_rows`: one
+    universe, at most min(m, n) + 1 of them.  The pair guard runs first.
+    The suite then runs one universe at a time, from the rows of
+    :func:`_closure_rows`, in the order of :func:`_label_sets`: one
     :meth:`rules.RuleGraph.sweep` with all of its sources as roots, where
     nodes pop by decreasing codimension and carry the bitset of the
     sources that reach them, and the sweep never consults majorizations.
@@ -525,13 +528,12 @@ def cross_validate_characterizations(
     """
     start = time.monotonic()
     nodes = enumerate_structures(m, n, pool_size, include_infinity)
+    pair_count = _pair_budget([M._invariants() for M in nodes], max_pairs)
     reservoir = rules._fresh_reservoir(min(m, n), map(eigenvalues, nodes))
     search_labels = tuple(reservoir) + ((INFINITY,) if include_infinity else ())
     universes = []
     tracker = _Tracker()
-    pair_count = 0
-    for targets, group, sources, related, _ in _closure_rows(nodes, max_pairs,
-                                                             reservoir[0].sort_key()):
+    for targets, group, sources, related in _closure_rows(nodes, reservoir[0].sort_key()):
         graph = rules.RuleGraph(tuple(map(_label, targets)) + search_labels, max_expansions,
                                 reservoir, canonical=True)
         canon = [rules._canonical(L.key, graph._reservoir) for L in sources]
@@ -540,7 +542,6 @@ def cross_validate_characterizations(
         reach = _transpose([reached.get(key, 0) for key in canon], len(group))
         universes.append({"finite_labels": len(targets), "sources": len(group),
                           "expansions": graph.expansions, "moves": graph.moves})
-        pair_count += len(group) * len(sources)
         for s, (M, bits) in enumerate(zip(group, related)):
             for k in set_bits(reach[s] ^ bits):  # only the pairs where the routes disagree
                 L = sources[k]
@@ -604,7 +605,8 @@ def verify_formula_identities(
     """
     start = time.monotonic()
     nodes = enumerate_structures(m, n, pool_size, include_infinity)
-    if len(nodes) * (FORMULA_SEEDS + 1) > max_pairs:
+    pair_count = len(nodes) * (FORMULA_SEEDS + 1)
+    if pair_count > max_pairs:
         raise EnumerationLimitExceededError(
             f"formula-identity budget {max_pairs} exceeded ({len(nodes)} nodes)"
         )
@@ -666,7 +668,7 @@ def verify_formula_identities(
     return VerificationReport(
         size=(m, n),
         node_count=len(nodes),
-        pair_count=len(nodes) * (FORMULA_SEEDS + 1),
+        pair_count=pair_count,
         checks=checks,
         elapsed_seconds=time.monotonic() - start,
         stats={

@@ -538,8 +538,7 @@ def pairwise_monotonicity(m, n, pool_size=None, include_infinity=True):
     base = rules._fresh_reservoir(1, map(eigenvalues, nodes))[0].sort_key()
     tracker = verify._Tracker()
     pair_count = 0
-    for _, group, sources, related, _ in verify._closure_rows(nodes, verify.DEFAULT_MAX_PAIRS,
-                                                              base):
+    for _, group, sources, related in verify._closure_rows(nodes, base):
         pair_count += len(group) * len(sources)
         for M, bits in zip(group, related):
             target = M._invariants()

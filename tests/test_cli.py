@@ -247,6 +247,23 @@ class TestRealize:
         code, _, err = run(capsys, "realize", "J(1;e1)", "--assign", "e1")
         assert code == 64
 
+    def test_empty_chunk_is_skipped(self, capsys):
+        plain = run(capsys, "realize", "J(1;e1)", "--assign", "e1=5")
+        assert plain[0] == 0
+        assert run(capsys, "realize", "J(1;e1)", "--assign", "e1=5,") == plain
+
+    @pytest.mark.parametrize("assign, message", [
+        ("inf=2", "error: the infinity label takes no assigned value"),
+        ("e1=1/0", "error: bad rational '1/0'"),
+        ("e1=x", "error: bad rational 'x'"),
+        ("e1=5,e1=6", "error: label e1 is assigned twice"),
+    ], ids=["infinity", "zero-denominator", "not-a-number", "repeated-label"])
+    def test_refused_assignment_exits_64(self, capsys, assign, message):
+        code, out, err = run(capsys, "realize", "J(1;e1)", "--assign", assign)
+        assert code == 64
+        assert out == ""
+        assert err.startswith(message) and err.count("\n") == 1
+
     def test_cell_budget_exits_70(self, capsys, monkeypatch):
         # a 2x3 pencil has 2*2*3 = 12 cells in A and B
         monkeypatch.setenv("KCF_MAX_PAIRS", "12")
@@ -337,6 +354,16 @@ class TestErrorChannels:
         code, out, _ = run(capsys, "codim", "J(999999;e1)")
         assert code == 0
         assert out == "codim=999999 dim=1999995000003\n"
+
+    def test_invariant_violation_exits_2(self, capsys, monkeypatch):
+        # with every codimension 0, the graph's first covering edge fails its check
+        real = core.block_invariants
+        monkeypatch.setattr(core, "block_invariants",
+                            lambda *blocks: real(*blocks)._replace(codim=0))
+        code, out, err = run(capsys, "graph", "2", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("invariant violated: covering edge") and err.count("\n") == 1
 
     def test_help_exits_0(self, capsys):
         code, out, _ = run(capsys, "--help")

@@ -295,7 +295,7 @@ class TestClosureBitsets:
         nodes = enumerate_structures(m, n)
         base = rules._fresh_reservoir(min(m, n), map(eigenvalues, nodes))[0].id
         rows = []
-        for _, group, sources, related, _ in verify_mod._closure_rows(nodes, 10**7, base):
+        for _, group, sources, related in verify_mod._closure_rows(nodes, base):
             sources = [structure_from_key(L.key) for L in sources]
             assert related == oracle_bitsets(sources, group), [str(M) for M in group]
             rows += group

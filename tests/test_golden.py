@@ -89,6 +89,14 @@ GOLDEN = [
      "af5c6694e15b431ab8d8fc2f67a9b27d845eacb6c85badab9741f26771f12654"),
     (("verify", "6", "6", "--checks", "dim", "--no-infinity", "--json"), 0,
      "5d4b70c2bff647b56bf5d32a20af8ffb0fa75022edf4eaa683ff560a1a85ae15"),
+    # the enumerator: square, tall, and wide with a one-label pool and no
+    # infinity
+    (("enumerate", "6", "6", "--json"), 0,
+     "4d3765252973a928a8841d1384434a1ab4d5efc729498888d7afc2a41c2cc136"),
+    (("enumerate", "6", "3", "--json"), 0,
+     "4b3babea4335e256893439b6f298e3b4ea3594761c0ee44b5fc418f3cfe91340"),
+    (("enumerate", "3", "7", "--pool", "1", "--no-infinity", "--json"), 0,
+     "76bc7522e07c13d9d0c033656fac6b24ec7b78d5af07cb183a38ccb6fee58eda"),
     # the e1 condition fails, the e2 condition holds
     (("closure", "J(1;e1) + L(1)", "J(1;e2) + L(1)"), 3,
      "8790150620560fe7fe332ea39866a40c89bb76fb9fe77238498fd7bc436c2072"),

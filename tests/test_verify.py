@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -75,10 +76,17 @@ class TestEnumerate:
                 assert size_of(K) == (m, n)
                 assert canonicalize(K) == K
 
-    @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (2, 4)])
-    def test_matches_brute_force_oracle(self, m, n):
-        expected = brute_force_structures(m, n, pool_size=min(m, n))
-        assert set(enumerate_structures(m, n)) == expected
+    @pytest.mark.parametrize("settings", [{}, {"pool_size": 1}, {"include_infinity": False}],
+                             ids=["default", "pool-1", "no-infinity"])
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (2, 4),
+                                     (2, 1), (3, 1), (3, 2), (4, 2), (4, 3)])
+    def test_matches_brute_force_oracle(self, m, n, settings):
+        expected = brute_force_structures(m, n, **{"pool_size": min(m, n), **settings})
+        assert set(enumerate_structures(m, n, **settings)) == expected
+
+    @pytest.mark.parametrize("m, count", [(4, 90), (5, 231), (6, 576), (7, 1365), (8, 3153)])
+    def test_square_node_counts(self, m, count):
+        assert len(enumerate_structures(m, m)) == count
 
     def test_invalid_sizes(self):
         with pytest.raises(InvalidSizeError):
@@ -227,6 +235,22 @@ class TestSuites:
         with pytest.raises(EnumerationLimitExceededError):  # 5x5, refused before any work
             cross_validate_characterizations(m, n, max_pairs=budget - 1, **settings)
 
+    @pytest.mark.parametrize("settings", [{}, {"pool_size": 1}, {"include_infinity": False}],
+                             ids=["default", "pool-1", "no-infinity"])
+    def test_pair_budget_counts_the_matchings(self, settings):
+        # both pair suites report the guard's count, so check it against
+        # the matchings the matcher builds, for every target node
+        for m in range(1, 6):
+            for n in range(1, 6):
+                nodes = enumerate_structures(m, n, **settings)
+                records = [K._invariants() for K in nodes]
+                base = rules._fresh_reservoir(1, map(eigenvalues, nodes))[0].sort_key()
+                targets = Counter(tuple(lbl.sort_key() for lbl in eigenvalues(M)
+                                        if not lbl.is_infinite) for M in nodes)
+                built = sum(count * len(verify_mod._matchings(L, codes, base))
+                            for codes, count in targets.items() for L in records)
+                assert verify_mod._pair_budget(records, 10**9) == built, (m, n)
+
     def test_reports_deterministic(self):
         a = verify_codimension_monotonicity(2, 2)
         b = verify_codimension_monotonicity(2, 2)
@@ -356,8 +380,8 @@ class TestDimMasks:
         nodes = enumerate_structures(m, m)
         # the related label-matched pairs, from the oracle route's rows
         base = rules._fresh_reservoir(1, map(eigenvalues, nodes))[0].sort_key()
-        rows = verify_mod._closure_rows(nodes, 10**7, base)
-        assert sum(bits.bit_count() for _, _, _, related, _ in rows
+        rows = verify_mod._closure_rows(nodes, base)
+        assert sum(bits.bit_count() for _, _, _, related in rows
                    for bits in related) == closure_pairs
         assert stats["candidate_pairs"] == candidates
         assert stats["label_rejections"] == rejections
@@ -440,7 +464,7 @@ class TestMatchingsMemo:
         naive = [(L, M) for M in nodes for L0 in nodes
                  for L in relabel_matchings(L0, eigenvalues(M), base)]
         pairs, groups = {}, []  # the rows come one finite label set at a time
-        for _, group, sources, _, _ in verify_mod._closure_rows(nodes, 10**7, base):
+        for _, group, sources, _ in verify_mod._closure_rows(nodes, base):
             groups.append([nodes.index(M) for M in group])
             for M in group:
                 pairs[M] = [(structure_from_key(L.key), M) for L in sources]
@@ -509,7 +533,7 @@ class TestMatchingsMemo:
     def test_rows_let_go_of_each_set_before_matching_the_next(self, monkeypatch):
         nodes = enumerate_structures(4, 4)
         base = rules._fresh_reservoir(4, map(eigenvalues, nodes))[0].id
-        rows = verify_mod._closure_rows(nodes, 10**7, base)
+        rows = verify_mod._closure_rows(nodes, base)
         held = []  # per matcher call: does the generator still hold a set's sources
         matchings = verify_mod._matchings
 
