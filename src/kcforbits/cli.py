@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .closure import build_closure_graph, majorization_report
 from .core import codimension, orbit_dimension, size_from_blocks
@@ -56,8 +57,44 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _json_key(key):
+    if isinstance(key, str):
+        return _json_str(key)
+    if key is None or isinstance(key, (int, float)):
+        return _json_str(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _json_text(value, indent):
+    """``json.dumps(value, indent=2)`` for a value nested at ``indent``."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [_json_str(v) if type(v) is str else
+                 int.__repr__(v) if type(v) is int else _json_text(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [(_json_str(k) if type(k) is str else _json_key(k)) + ": " +
+                 (_json_str(v) if type(v) is str else
+                  int.__repr__(v) if type(v) is int else _json_text(v, inner))
+                 for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    return json.dumps(value)
+
+
 def _print_json(payload):
-    print(json.dumps(payload, indent=2))
+    """Print ``payload`` byte-identical to ``json.dumps(payload, indent=2)``.
+
+    Strings go through json's C encoder and ints through ``int.__repr__``;
+    every other scalar (bool, None, float, and subclasses of str and int)
+    goes through ``json.dumps``, which also raises the TypeError for a type
+    json cannot encode.
+    """
+    print(_json_text(payload, ""))
 
 
 def _max_pairs():
@@ -178,7 +215,7 @@ _SUITES = {
 
 
 def cmd_verify(args):
-    wanted = [name.strip() for name in args.checks.split(",") if name.strip()]
+    wanted = list(dict.fromkeys(name.strip() for name in args.checks.split(",") if name.strip()))
     unknown = [name for name in wanted if name not in _SUITES]
     if unknown or not wanted:
         problem = f"unknown checks: {', '.join(unknown)}" if unknown else "no checks selected"

@@ -7,6 +7,12 @@ Grammar (whitespace insignificant):
     eig       := 'inf' | 'e' digits
     size      := decimal integer   (J needs size >= 1, L/LT need >= 0)
 
+Valid text is read by one compiled pattern per term: a term followed by
+``'+'`` or the end of the text.  Text that a term pattern does not match,
+or that fails a check after the match, is parsed again by the token-level
+``_Parser``, the one place that builds the errors, so each error keeps its
+type, message, position and expected set.
+
 Integers (sizes and eigenvalue ids) longer than ``MAX_DIGITS`` significant
 digits raise :class:`NotationLimitExceededError` before conversion, and so
 does a pencil with a dimension above 10**``MAX_DIGITS``, before the
@@ -32,6 +38,12 @@ __all__ = [
 MAX_DIGITS = 6  # invariants take time and memory linear in the pencil size
 
 _TOKEN = re.compile(r"\s*(?:(?P<word>[A-Za-z]+[0-9]*)|(?P<int>[0-9]+)|(?P<punct>[();+]))")
+
+# One term as the tokens read it, then '+' or the end: groups are the J size,
+# the J eigenvalue id or 'inf', 'L' or 'LT' with its size, and '+' (empty
+# at the end of the text).
+_TERM = re.compile(r"\s*(?:J\s*\(\s*([0-9]+)\s*;\s*(?:e([0-9]+)|(inf))|(LT|L)\s*\(\s*([0-9]+))"
+                   r"\s*\)\s*(\+|\Z)")
 
 
 def _tokenize(text: str):
@@ -140,9 +152,44 @@ class _Parser:
             (right if value == "L" else left).append(size)
 
 
+def _read_terms(text: str):
+    """The (jordan, right, left) blocks of valid text, else None."""
+    jordan, right, left = [], [], []
+    pos = 0
+    try:
+        while True:
+            match = _TERM.match(text, pos)
+            if match is None:
+                return None
+            j_size, eig, inf, kind, lr_size, plus = match.groups()
+            if kind is None:
+                size = _integer(j_size)
+                mu = INFINITY if inf else finite(_integer(eig))
+                if size < 1:
+                    return None
+                jordan.append((mu, size))
+            else:
+                (right if kind == "L" else left).append(_integer(lr_size))
+            if not plus:
+                break
+            pos = match.end()
+    except NotationLimitExceededError:
+        return None
+    if max(size_from_blocks(jordan, right, left)) > 10 ** MAX_DIGITS:
+        return None
+    return jordan, right, left
+
+
 def parse_structure(text: str) -> KroneckerStructure:
-    """Parse structure notation like ``"J(3;e1) + L(2) + LT(0)"``."""
-    return _Parser(text).parse()
+    """Parse structure notation like ``"J(3;e1) + L(2) + LT(0)"``.
+
+    Text that ``_read_terms`` cannot read is handed to ``_Parser``, which
+    raises the error.
+    """
+    blocks = _read_terms(text)
+    if blocks is None:
+        return _Parser(text).parse()
+    return KroneckerStructure(*blocks)
 
 
 def format_structure(K: KroneckerStructure) -> str:

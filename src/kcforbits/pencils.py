@@ -159,9 +159,12 @@ def realize(K: KroneckerStructure, assignment: dict | None = None) -> RationalPe
     for lbl in needed:
         if lbl not in assignment:
             raise MissingLabelError(f"no value assigned to eigenvalue {lbl}")
-    values = [assignment[lbl] for lbl in needed]
-    if len(set(values)) != len(values):
-        raise NonInjectiveAssignmentError(f"assignment repeats a value: {assignment}")
+    first = {}
+    for lbl in needed:
+        other = first.setdefault(assignment[lbl], lbl)
+        if other != lbl:
+            raise NonInjectiveAssignmentError(
+                f"{other} and {lbl} are both assigned {assignment[lbl]}")
 
     m, n = size_of(K)
     zero = Fraction(0)

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -6,6 +7,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import check_dot
 from kcforbits import cli, core
@@ -229,6 +232,19 @@ class TestVerify:
         assert out == ""
         assert err.startswith("guard limit: reachability from ")
 
+    def test_repeated_check_runs_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(m, n, **kwargs):
+            calls.append((m, n))
+            return cli.verify_codimension_monotonicity(m, n, **kwargs)
+
+        monkeypatch.setitem(cli._SUITES, "dim", counted)
+        once = run(capsys, "verify", "3", "3", "--checks", "dim")
+        calls.clear()
+        assert run(capsys, "verify", "3", "3", "--checks", "dim,dim") == once
+        assert calls == [(3, 3)]
+
 
 class TestRealize:
     def test_text(self, capsys):
@@ -263,6 +279,12 @@ class TestRealize:
         assert code == 64
         assert out == ""
         assert err.startswith(message) and err.count("\n") == 1
+
+    def test_repeated_value_names_the_labels(self, capsys):
+        code, out, err = run(capsys, "realize", "J(1;e1) + J(1;e2)", "--assign", "e1=1,e2=1")
+        assert code == 64
+        assert out == ""
+        assert err == "error: e1 and e2 are both assigned 1\n"
 
     def test_cell_budget_exits_70(self, capsys, monkeypatch):
         # a 2x3 pencil has 2*2*3 = 12 cells in A and B
@@ -436,3 +458,44 @@ class TestClosedPipe:
         proc.stderr.close()
         assert proc.wait(timeout=120) == 0
         assert err == b""
+
+
+_JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u20ac\U0001f600'),
+                               st.characters()), max_size=6)
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                          st.integers(-2**70, 2**70), st.floats(), _JSON_TEXT)
+_JSON_KEYS = st.one_of(_JSON_TEXT, st.integers(), st.booleans(), st.none(), st.floats())
+_JSON_VALUES = st.recursive(_JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(_JSON_KEYS, inner, max_size=4),
+), max_leaves=24)
+
+
+def _printed_json(payload):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._print_json(payload)
+    return out.getvalue()
+
+
+class TestJsonEncoder:
+    """``_print_json`` writes what ``print(json.dumps(payload, indent=2))`` would."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_JSON_VALUES)
+    def test_same_bytes_as_json_dumps(self, value):
+        assert _printed_json(value) == json.dumps(value, indent=2) + "\n"
+
+    def test_closure_graph(self):
+        payload = build_closure_graph(enumerate_structures(3, 3)).to_json_dict()
+        assert _printed_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("payload", [{1, 2}, [b"x"], {(1, 2): 3}, {"a": [object()]}],
+                             ids=["set", "bytes", "tuple-key", "nested-object"])
+    def test_same_type_error_as_json_dumps(self, payload):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(payload, indent=2)
+        with pytest.raises(TypeError) as got:
+            _printed_json(payload)
+        assert str(got.value) == str(expected.value)

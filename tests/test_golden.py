@@ -97,6 +97,10 @@ GOLDEN = [
      "4b3babea4335e256893439b6f298e3b4ea3594761c0ee44b5fc418f3cfe91340"),
     (("enumerate", "3", "7", "--pool", "1", "--no-infinity", "--json"), 0,
      "76bc7522e07c13d9d0c033656fac6b24ec7b78d5af07cb183a38ccb6fee58eda"),
+    # the 2.2 MB closure graph at 8x8, the largest indented JSON the
+    # command line writes in the test suite
+    (("graph", "8", "8", "--json"), 0,
+     "2181c64d161f94f2035c97f1198937cd054301448f92b87384bc7dc63ac4734c"),
     # the e1 condition fails, the e2 condition holds
     (("closure", "J(1;e1) + L(1)", "J(1;e2) + L(1)"), 3,
      "8790150620560fe7fe332ea39866a40c89bb76fb9fe77238498fd7bc436c2072"),

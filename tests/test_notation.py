@@ -1,9 +1,15 @@
-import pytest
+import re
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import structures
 from kcforbits.core import INFINITY, KroneckerStructure, finite
 from kcforbits.errors import DomainError, NotationLimitExceededError, ParseError
 from kcforbits.notation import (
     MAX_DIGITS,
+    _Parser,
     format_structure,
     parse_eigenvalue,
     parse_structure,
@@ -130,3 +136,64 @@ def test_json_shape():
         "right": [2],
         "left": [0],
     }
+
+
+def _outcome(parse, text):
+    """The structure ``parse`` returns, or its error's type, text, position and expected set."""
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "position", None), getattr(exc, "expected", None)
+
+
+def _same_as_token_parser(text):
+    assert _outcome(parse_structure, text) == _outcome(lambda t: _Parser(t).parse(), text)
+
+
+_ATOMS = st.sampled_from(["J", "L", "LT", "T", "e", "inf", "(", ")", ";", "+", "x", "@",
+                          "\t", "\xa0", " ", "\u0661"])
+_DIGITS = st.sampled_from("0123456789")
+_NUMBERS = st.one_of(st.lists(_DIGITS, min_size=1, max_size=3).map("".join),
+                     st.just("0000001"), st.just("1234567"), st.just("999999"))
+_SPACE = st.sampled_from(["", "", " ", "\t", "\xa0", "  "])
+_STRAY = st.sampled_from(["", "", "+", "+ ", "+L(1", ")", "@", "x", "\u0661", "0"])
+
+
+@st.composite
+def _spaced(draw, structure):
+    """``structure`` rendered with whitespace drawn around every token."""
+    text = draw(_SPACE)
+    for token in re.findall(r"[A-Za-z]+[0-9]*|[0-9]+|[();+]", str(structure)):
+        text += token + draw(_SPACE)
+    return text
+
+
+@st.composite
+def _near_valid(draw):
+    """A spaced rendering of a structure, with one stray piece of text inserted, or none."""
+    text = draw(_spaced(draw(structures())))
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(_STRAY) + text[at:]
+
+
+class TestTermPatternMatchesTokenParser:
+    """``parse_structure`` reads valid text by a term pattern and hands the
+    rest to ``_Parser``; both must agree on every string."""
+
+    @pytest.mark.parametrize("text", [
+        "J(1;e0)", "J(01;e000)", "L (0)", "J(1;e1x)", "J(\u0661;e1)", "J(0;e1)",
+        "J(1;e9999999)", "L(999999)+LT(999999)", "J(1;e1)+", "J(1;e1)@", "", "  ",
+        "L(\u0661)", "LT(0) + ",
+    ])
+    def test_fixed_cases(self, text):
+        _same_as_token_parser(text)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(st.one_of(_ATOMS, _NUMBERS), max_size=12).map("".join))
+    def test_token_soup(self, text):
+        _same_as_token_parser(text)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(_near_valid())
+    def test_near_valid_text(self, text):
+        _same_as_token_parser(text)

@@ -105,8 +105,10 @@ class TestRealize:
             realize(S(jordan=[(e1, 1)]), {})
 
     def test_non_injective(self):
-        with pytest.raises(NonInjectiveAssignmentError):
+        with pytest.raises(NonInjectiveAssignmentError, match=r"^e1 and e2 are both assigned 3$"):
             realize(S(jordan=[(e1, 1), (e2, 1)]), {e1: 3, e2: 3})
+        with pytest.raises(NonInjectiveAssignmentError, match=r"^e1 and e2 are both assigned 7/2$"):
+            realize(S(jordan=[(e1, 1), (e2, 1)]), {e1: Fraction(7, 2), e2: 3.5})
 
     def test_default_assignment_is_injective(self):
         K = S(jordan=[(e1, 1), (e2, 2), (INFINITY, 1)])
